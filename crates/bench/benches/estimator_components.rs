@@ -109,7 +109,7 @@ fn bench_full_estimate(c: &mut Criterion) {
 /// Cold vs. cache-warm engine sweep over the six default hardware profiles
 /// (the Figure 4 shape). "Cold" builds a fresh engine per iteration, so
 /// every item redoes the T-factory pipeline search — the cost profile of
-/// six independent `EstimationJob::estimate()` calls. "Warm" reuses one
+/// six independent one-shot estimates. "Warm" reuses one
 /// engine whose cache was primed once, so the search is skipped for all six
 /// items. The speedup is recorded in `BENCH_engine.json`.
 fn bench_engine_sweep(c: &mut Criterion) {

@@ -117,7 +117,7 @@ fn main() {
     let quick = criterion::quick_mode();
     let points = if quick { QUICK_POINTS } else { FULL_POINTS };
     let spec = stress_spec(points);
-    let total = spec.total_len();
+    let total = spec.total_len().expect("stress sweep size fits in usize");
     let shape = qre_cli::StressShape::covering(points);
 
     // cold + warm: one engine, two passes.

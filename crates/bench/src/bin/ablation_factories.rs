@@ -10,8 +10,8 @@
 
 use qre_arith::{multiplication_counts, MulAlgorithm};
 use qre_core::{
-    estimate_frontier, format_duration_ns, group_digits, Constraints, ErrorBudget, PhysicalQubit,
-    PhysicalResourceEstimation, QecScheme, TFactoryBuilder,
+    format_duration_ns, group_digits, Constraints, ErrorBudget, EstimateRequest, Estimator,
+    PhysicalQubit, PhysicalResourceEstimation, QecScheme, TFactoryBuilder,
 };
 use std::io::Write as _;
 
@@ -40,7 +40,9 @@ fn main() {
         "factories", "phys. qubits", "runtime", "qubit-seconds"
     );
     let _ = writeln!(out, "{}", "-".repeat(62));
-    let frontier = estimate_frontier(&base).expect("frontier");
+    let frontier = Estimator::new()
+        .frontier(&EstimateRequest::from_estimation(base.clone()))
+        .expect("frontier");
     for p in &frontier {
         let pc = &p.result.physical_counts;
         let _ = writeln!(

@@ -50,7 +50,7 @@
 //! like `"errorBudgets"` in a single job never pass silently.
 //!
 //! Any submission may set top-level `"stream": true` to emit **NDJSON**
-//! instead of one monolithic document ([`run_submission_streamed`]): one
+//! instead of one monolithic document ([`run_submission_streamed_via`]): one
 //! JSON object per finished item, written in completion order as workers
 //! finish (each record carries its `index` in submission/expansion order),
 //! interleaved with periodic `{"progress": k, "total": n}` records — the
@@ -85,16 +85,16 @@ use std::io::Write;
 use qre_arith::MulAlgorithm;
 use qre_circuit::{qir, LogicalCounts};
 use qre_core::{
-    Constraints, ErrorBudget, EstimationJob, EstimationJobBuilder, Estimator, FrontierPoint,
-    PartitionSearch, PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec,
+    Constraints, ErrorBudget, EstimateRequest, Estimator, FrontierPoint, PartitionSearch,
+    PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec, SweepStream,
 };
 use qre_json::{ObjectBuilder, Value};
 
 /// Parsed job specification.
 #[derive(Debug)]
 pub struct JobSpec {
-    /// The assembled estimation job.
-    pub job: EstimationJob,
+    /// The assembled estimation request.
+    pub request: EstimateRequest,
     /// Whether to produce a frontier instead of a single estimate.
     pub frontier: bool,
     /// Whether the frontier also searches the error-budget partition
@@ -241,33 +241,22 @@ pub fn search_stats_json(engine: &Estimator) -> Value {
         .build()
 }
 
-/// Run a submission through a fresh engine: a single result object,
-/// `{"items": [...]}` for a batch, or `{"estimateType": "sweep", "items":
-/// [...]}` for a sweep. Batch and sweep items that fail estimation report
-/// their error in place instead of failing the whole submission. Ignores
-/// the submission's `stream` flag; callers honouring it use
-/// [`run_submission_streamed`].
-pub fn run_submission(submission: &Submission) -> Result<Value, String> {
-    run_submission_via(&Estimator::new(), submission)
-}
-
-/// [`run_submission`] on a caller-supplied engine, so the caller keeps the
-/// engine's cache and search counters after the run (the `--search-stats`
-/// flow) or shares one warm cache across submissions.
+/// Run a submission through `engine`: a single result object, `{"items":
+/// [...]}` for a batch, or `{"estimateType": "sweep", "items": [...]}` for a
+/// sweep. Batch and sweep items that fail estimation report their error in
+/// place instead of failing the whole submission. Ignores the submission's
+/// `stream` flag; callers honouring it use [`run_submission_streamed_via`].
+/// The caller keeps the engine's cache and search counters after the run
+/// (the `--search-stats` flow) or shares one warm cache across submissions.
 pub fn run_submission_via(engine: &Estimator, submission: &Submission) -> Result<Value, String> {
     match &submission.kind {
         SubmissionKind::Single(spec) => run_job_via(engine, spec),
         SubmissionKind::Batch(jobs) => {
             // One parallel pass over the whole array; every item shares the
             // engine's factory cache.
-            let items: Vec<Value> =
-                qre_par::parallel_map(jobs, |spec| match run_job_via(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => ObjectBuilder::new()
-                        .field("status", "error")
-                        .field("message", e)
-                        .build(),
-                });
+            let items: Vec<Value> = qre_par::parallel_map(jobs, |spec| {
+                batch_item(engine, spec).unwrap_or_else(|error| error)
+            });
             Ok(ObjectBuilder::new()
                 .field("status", "success")
                 .field("items", Value::Array(items))
@@ -423,14 +412,9 @@ fn write_submission_chunked(
         SubmissionKind::Batch(jobs) => {
             let mut doc = ItemsDocWriter::open(out, compact, &[("status", "success")], jobs.len())?;
             for block in jobs.chunks(chunk) {
-                let items: Vec<Value> =
-                    qre_par::parallel_map(block, |spec| match run_job_via(engine, spec) {
-                        Ok(v) => v,
-                        Err(e) => ObjectBuilder::new()
-                            .field("status", "error")
-                            .field("message", e)
-                            .build(),
-                    });
+                let items: Vec<Value> = qre_par::parallel_map(block, |spec| {
+                    batch_item(engine, spec).unwrap_or_else(|error| error)
+                });
                 for item in &items {
                     doc.item(item)?;
                 }
@@ -438,18 +422,18 @@ fn write_submission_chunked(
             doc.finish()
         }
         SubmissionKind::Sweep(spec) => {
-            let total = spec.len();
             let head = [("status", "success"), ("estimateType", "sweep")];
             if spec.shard.is_some() {
                 // An already-sharded spec *is* the caller's bounded block
                 // (the serve fan-out path); run it as one chunk.
                 let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
-                let mut doc = ItemsDocWriter::open(out, compact, &head, total)?;
+                let mut doc = ItemsDocWriter::open(out, compact, &head, outcomes.len())?;
                 for o in &outcomes {
                     doc.item(&sweep_item_json(o))?;
                 }
                 return doc.finish();
             }
+            let total = spec.total_len().map_err(|e| e.to_string())?;
             let blocks = total.div_ceil(chunk).max(1);
             // Run the first block before emitting any output: expansion
             // errors (an empty mandatory axis) are spec-global, so they
@@ -547,29 +531,23 @@ impl<'a> NdjsonSink<'a> {
     }
 }
 
-/// Run a submission through a fresh engine, streaming NDJSON to `out`: one
+/// Run a submission through `engine`, streaming NDJSON to `out`: one
 /// record per finished item **in completion order** (each record's `index`
 /// names its submission/expansion position) plus periodic `{"progress": k,
 /// "total": n}` records and a final one. Sweep records are field-for-field
-/// identical to the corresponding entries of [`run_submission`]'s
+/// identical to the corresponding entries of [`run_submission_via`]'s
 /// monolithic document, and batch records are those entries plus an
 /// `index` field; failing batch/sweep items report their error in place. A
-/// failing *single* job returns `Err`, exactly as in [`run_submission`],
+/// failing *single* job returns `Err`, exactly as in [`run_submission_via`],
 /// so exit codes do not depend on the delivery mode. A streamed *frontier*
 /// job emits one record per Pareto point (the monolithic document's
 /// `frontier` entries plus an `index` field) instead of one document.
-pub fn run_submission_streamed(submission: &Submission, out: &mut dyn Write) -> Result<(), String> {
-    run_submission_streamed_via(&Estimator::new(), submission, out)
-}
-
-/// [`run_submission_streamed`] on a caller-supplied engine (see
-/// [`run_submission_via`]).
 pub fn run_submission_streamed_via(
     engine: &Estimator,
     submission: &Submission,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    match &submission.kind {
+    let items = match &submission.kind {
         SubmissionKind::Single(spec) if spec.frontier => {
             // A streamed frontier delivers one NDJSON record per Pareto
             // point, in frontier order (descending qubits), each carrying
@@ -582,59 +560,95 @@ pub fn run_submission_streamed_via(
                     break;
                 }
             }
-            sink.finish()
+            return sink.finish();
         }
         SubmissionKind::Single(spec) => {
             let record = run_job_via(engine, spec)?;
             let mut sink = NdjsonSink::new(out, 1);
             sink.record(&record);
-            sink.finish()
+            return sink.finish();
         }
-        SubmissionKind::Batch(jobs) => {
-            let mut sink = NdjsonSink::new(out, jobs.len());
-            qre_par::parallel_map_streamed_until(
-                jobs,
-                |_, spec| match run_job_via(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => ObjectBuilder::new()
-                        .field("status", "error")
-                        .field("message", e)
-                        .build(),
-                },
-                |index, value| {
-                    // Batch records gain the index sweeps carry natively.
-                    let record = ObjectBuilder::new().field("index", index as u64).build();
-                    let merged = match (record, value) {
-                        (Value::Object(mut head), Value::Object(tail)) => {
-                            head.extend(tail);
-                            Value::Object(head)
+        SubmissionKind::Batch(jobs) => ItemRun::Batch(jobs),
+        SubmissionKind::Sweep(spec) => ItemRun::sweep(engine, spec)?,
+    };
+    let mut sink = NdjsonSink::new(out, items.total());
+    items.run(engine, |record| {
+        sink.record(&record);
+        !sink.failed()
+    });
+    sink.finish()
+}
+
+/// Item/error tally of one executed submission.
+#[derive(Default)]
+pub(crate) struct ItemCounts {
+    pub(crate) items: usize,
+    pub(crate) errors: usize,
+}
+
+/// A batch or sweep ready for completion-order delivery: the one dispatcher
+/// behind both the one-shot `"stream": true` path and `qre serve`, which
+/// differ only in how they frame each record.
+pub(crate) enum ItemRun<'a> {
+    Batch(&'a [JobSpec]),
+    Sweep(SweepStream),
+}
+
+impl<'a> ItemRun<'a> {
+    /// Expand and start a sweep; expansion errors (an empty mandatory axis,
+    /// an item count that overflows) surface here, before any record.
+    pub(crate) fn sweep(engine: &Estimator, spec: &SweepSpec) -> Result<Self, String> {
+        engine
+            .sweep_stream(spec)
+            .map(ItemRun::Sweep)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Number of records [`ItemRun::run`] delivers.
+    pub(crate) fn total(&self) -> usize {
+        match self {
+            ItemRun::Batch(jobs) => jobs.len(),
+            ItemRun::Sweep(stream) => stream.total(),
+        }
+    }
+
+    /// Execute every item, handing each record to `emit` as it finishes:
+    /// batch records are the item's result (or error object) led by its
+    /// `index`, sweep records are [`sweep_item_json`]. Once `emit` returns
+    /// `false` (a dead consumer) no further items start; only the in-flight
+    /// ones finish.
+    pub(crate) fn run(self, engine: &Estimator, mut emit: impl FnMut(Value) -> bool) -> ItemCounts {
+        let mut counts = ItemCounts::default();
+        match self {
+            ItemRun::Batch(jobs) => {
+                counts.items = jobs.len();
+                qre_par::parallel_map_streamed_until(
+                    jobs,
+                    |_, spec| batch_item(engine, spec),
+                    |index, item| {
+                        counts.errors += usize::from(item.is_err());
+                        let indexed = ObjectBuilder::new().field("index", index as u64).build();
+                        let record = serve::merge_objects(indexed, item.unwrap_or_else(|e| e));
+                        if emit(record) {
+                            std::ops::ControlFlow::Continue(())
+                        } else {
+                            std::ops::ControlFlow::Break(())
                         }
-                        (_, v) => v,
-                    };
-                    sink.record(&merged);
-                    // A dead consumer (closed pipe) must not cost the rest
-                    // of the batch's compute.
-                    if sink.failed() {
-                        std::ops::ControlFlow::Break(())
-                    } else {
-                        std::ops::ControlFlow::Continue(())
+                    },
+                );
+            }
+            ItemRun::Sweep(stream) => {
+                for outcome in stream {
+                    counts.items += 1;
+                    counts.errors += usize::from(outcome.outcome.is_err());
+                    if !emit(sweep_item_json(&outcome)) {
+                        // Dropping the stream cancels the remaining items.
+                        break;
                     }
-                },
-            );
-            sink.finish()
-        }
-        SubmissionKind::Sweep(spec) => {
-            let mut sink = NdjsonSink::new(out, spec.len());
-            let stream = engine.sweep_stream(spec).map_err(|e| e.to_string())?;
-            for o in stream {
-                sink.record(&sweep_item_json(&o));
-                if sink.failed() {
-                    // Dropping the stream cancels the remaining items.
-                    break;
                 }
             }
-            sink.finish()
         }
+        counts
     }
 }
 
@@ -672,7 +686,7 @@ pub fn parse_job_value(doc: &Value) -> Result<JobSpec, String> {
     let qubit = parse_qubit_params(doc.get("qubitParams"))?;
     let qec = parse_qec(doc.get("qecScheme"))?;
 
-    let mut builder: EstimationJobBuilder = EstimationJob::builder()
+    let mut builder = EstimateRequest::builder()
         .counts(counts)
         .profile(qubit)
         .qec(qec);
@@ -717,9 +731,9 @@ pub fn parse_job_value(doc: &Value) -> Result<JobSpec, String> {
         return Err("`searchBudgetPartition` requires `estimateType: \"frontier\"`".into());
     }
 
-    let job = builder.build().map_err(|e| e.to_string())?;
+    let request = builder.build().map_err(|e| e.to_string())?;
     Ok(JobSpec {
-        job,
+        request,
         frontier,
         search_partition,
     })
@@ -1021,13 +1035,8 @@ fn parse_qec(v: Option<&Value>) -> Result<QecSchemeKind, String> {
     }
 }
 
-/// Run a job specification, producing the result JSON (a single result
-/// object, or a frontier array).
-pub fn run_job(spec: &JobSpec) -> Result<Value, String> {
-    run_job_via(&Estimator::new(), spec)
-}
-
-/// Run a job through a caller-owned engine, sharing its factory cache.
+/// Run a job through a caller-owned engine, sharing its factory cache: a
+/// single result object, or a frontier document.
 fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
     if spec.frontier {
         let points = run_frontier_points_via(engine, spec)?;
@@ -1048,11 +1057,24 @@ fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
             .field("frontier", Value::Array(items))
             .build())
     } else {
-        let result = engine
-            .estimate(spec.job.as_request())
-            .map_err(|e| e.to_string())?;
+        let result = engine.estimate(&spec.request).map_err(|e| e.to_string())?;
         Ok(result.to_json())
     }
+}
+
+/// Run one batch item: its result document, or the in-place error object
+/// that stands for it.
+fn batch_item(engine: &Estimator, spec: &JobSpec) -> Result<Value, Value> {
+    run_job_via(engine, spec).map_err(error_object)
+}
+
+/// The `{"status": "error", "message": …}` object reporting a failure in
+/// place of a result.
+pub(crate) fn error_object(message: String) -> Value {
+    ObjectBuilder::new()
+        .field("status", "error")
+        .field("message", message)
+        .build()
 }
 
 /// Explore a frontier job's Pareto set: the plain factory-cap frontier, or
@@ -1063,9 +1085,9 @@ pub(crate) fn run_frontier_points_via(
     spec: &JobSpec,
 ) -> Result<Vec<FrontierPoint>, String> {
     let points = if spec.search_partition {
-        engine.frontier_searched(spec.job.as_request(), &PartitionSearch::default())
+        engine.frontier_searched(&spec.request, &PartitionSearch::default())
     } else {
-        engine.frontier(spec.job.as_request())
+        engine.frontier(&spec.request)
     };
     points.map_err(|e| e.to_string())
 }
@@ -1083,7 +1105,9 @@ pub(crate) fn frontier_point_json(index: usize, p: &FrontierPoint) -> Value {
 
 /// Run a job and return the human-readable report instead of JSON.
 pub fn run_job_report(spec: &JobSpec) -> Result<String, String> {
-    let result = spec.job.estimate().map_err(|e| e.to_string())?;
+    let result = Estimator::new()
+        .estimate(&spec.request)
+        .map_err(|e| e.to_string())?;
     Ok(result.to_report())
 }
 
@@ -1102,7 +1126,7 @@ mod tests {
     fn counts_job_round_trip() {
         let spec = parse_job(COUNTS_JOB).unwrap();
         assert!(!spec.frontier);
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("status").unwrap().as_str(), Some("success"));
         assert!(
             out.get_path("physicalCounts.physicalQubits")
@@ -1122,7 +1146,7 @@ mod tests {
             "errorBudget": 0.01
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("preLayoutLogicalResources.tCount")
                 .unwrap()
@@ -1140,7 +1164,7 @@ mod tests {
             "errorBudget": 1e-4
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert!(
             out.get_path("breakdown.numTstates")
                 .unwrap()
@@ -1161,7 +1185,7 @@ mod tests {
         }"#;
         let spec = parse_job(job).unwrap();
         assert!(spec.frontier);
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("estimateType").unwrap().as_str(), Some("frontier"));
         assert!(!out.get("frontier").unwrap().as_array().unwrap().is_empty());
     }
@@ -1179,8 +1203,8 @@ mod tests {
         assert!(!fixed.search_partition);
         assert!(searched.frontier && searched.search_partition);
 
-        let fixed = run_job(&fixed).unwrap();
-        let searched = run_job(&searched).unwrap();
+        let fixed = run_job_via(&Estimator::new(), &fixed).unwrap();
+        let searched = run_job_via(&Estimator::new(), &searched).unwrap();
         assert_eq!(
             searched.get("searchBudgetPartition").unwrap().as_bool(),
             Some(true)
@@ -1244,7 +1268,7 @@ mod tests {
         }"#;
         let submission = parse_submission(job).unwrap();
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed_via(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
         assert!(records.len() >= 2, "expected a real trade-off curve");
@@ -1261,20 +1285,14 @@ mod tests {
             SubmissionKind::Single(spec) => spec,
             _ => unreachable!(),
         };
-        let doc = run_job(spec).unwrap();
+        let doc = run_job_via(&Estimator::new(), spec).unwrap();
         let entries = doc.get("frontier").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), records.len());
         for (i, (entry, record)) in entries.iter().zip(&records).enumerate() {
-            let expected = match (
+            let expected = serve::merge_objects(
                 ObjectBuilder::new().field("index", i as u64).build(),
                 entry.clone(),
-            ) {
-                (Value::Object(mut head), Value::Object(tail)) => {
-                    head.extend(tail);
-                    Value::Object(head)
-                }
-                _ => unreachable!(),
-            };
+            );
             assert_eq!(&expected, *record);
         }
     }
@@ -1289,7 +1307,7 @@ mod tests {
             "errorBudgets": [ { "logical": 1e-4, "tStates": 2e-4, "rotations": 0 }, 1e-3 ]
         } }"#;
         let submission = parse_submission(sweep).unwrap();
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission_via(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
         let total = items[0].get_path("errorBudget").unwrap().as_f64().unwrap();
@@ -1345,7 +1363,7 @@ mod tests {
             "errorBudget": 0.001
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.tGateError")
                 .unwrap()
@@ -1363,7 +1381,7 @@ mod tests {
             "errorBudget": 0.001,
             "constraints": { "maxTFactories": 2 }
         }"#;
-        let out = run_job(&parse_job(job).unwrap()).unwrap();
+        let out = run_job_via(&Estimator::new(), &parse_job(job).unwrap()).unwrap();
         assert!(
             out.get_path("breakdown.numTfactories")
                 .unwrap()
@@ -1377,7 +1395,7 @@ mod tests {
     fn defaults_applied() {
         let job = r#"{ "algorithm": { "logicalCounts": { "numQubits": 5, "tCount": 10 } } }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job_via(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.name")
                 .unwrap()
@@ -1424,7 +1442,7 @@ mod tests {
         let submission = parse_submission(batch).unwrap();
         assert!(!submission.stream);
         assert!(matches!(submission.kind, SubmissionKind::Batch(ref jobs) if jobs.len() == 2));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission_via(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
         for item in items {
@@ -1450,7 +1468,7 @@ mod tests {
               "errorBudget": 1e-60 }
         ] }"#;
         let submission = parse_submission(batch).unwrap();
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission_via(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items[0].get("status").unwrap().as_str(), Some("success"));
         assert_eq!(items[1].get("status").unwrap().as_str(), Some("error"));
@@ -1468,7 +1486,7 @@ mod tests {
     fn single_submission_passthrough() {
         let submission = parse_submission(COUNTS_JOB).unwrap();
         assert!(matches!(submission.kind, SubmissionKind::Single(_)));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission_via(&Estimator::new(), &submission).unwrap();
         assert!(out.get("physicalCounts").is_some());
     }
 
@@ -1527,7 +1545,7 @@ mod tests {
         } }"#;
         let submission = parse_submission(sweep).unwrap();
         assert!(matches!(submission.kind, SubmissionKind::Sweep(_)));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission_via(&Estimator::new(), &submission).unwrap();
         assert_eq!(out.get("estimateType").unwrap().as_str(), Some("sweep"));
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
@@ -1565,7 +1583,7 @@ mod tests {
         let sweep = r#"{ "sweep": {
             "algorithms": [ { "logicalCounts": { "numQubits": 10, "tCount": 100 } } ]
         } }"#;
-        let out = run_submission(&parse_submission(sweep).unwrap()).unwrap();
+        let out = run_submission_via(&Estimator::new(), &parse_submission(sweep).unwrap()).unwrap();
         assert_eq!(out.get("items").unwrap().as_array().unwrap().len(), 6);
     }
 
@@ -1577,7 +1595,7 @@ mod tests {
             "qubitParams": [ { "name": "qubit_gate_ns_e3" }, { "name": "qubit_maj_ns_e4" } ],
             "qecSchemes": [ { "name": "floquet_code" } ]
         } }"#;
-        let out = run_submission(&parse_submission(sweep).unwrap()).unwrap();
+        let out = run_submission_via(&Estimator::new(), &parse_submission(sweep).unwrap()).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items[0].get("status").unwrap().as_str(), Some("error"));
         assert!(items[0]
@@ -1626,7 +1644,7 @@ mod tests {
         let submission = parse_submission(sweep).unwrap();
         assert!(submission.stream);
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed_via(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
 
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
@@ -1643,7 +1661,7 @@ mod tests {
 
         // Streamed records are field-for-field the collecting document's
         // items, matched up by index.
-        let collected = run_submission(&submission).unwrap();
+        let collected = run_submission_via(&Estimator::new(), &submission).unwrap();
         let items = collected.get("items").unwrap().as_array().unwrap();
         for record in records {
             let index = record.get("index").unwrap().as_u64().unwrap() as usize;
@@ -1665,7 +1683,7 @@ mod tests {
         ] }"#;
         let submission = parse_submission(batch).unwrap();
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed_via(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
         assert_eq!(records.len(), 3);
@@ -1692,7 +1710,7 @@ mod tests {
         let submission = parse_submission(job).unwrap();
         assert!(submission.stream);
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed_via(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].get("physicalCounts").is_some());
@@ -1710,8 +1728,8 @@ mod tests {
         }"#;
         let submission = parse_submission(job).unwrap();
         let mut bytes = Vec::new();
-        let streamed = run_submission_streamed(&submission, &mut bytes);
-        let collected = run_submission(&submission);
+        let streamed = run_submission_streamed_via(&Estimator::new(), &submission, &mut bytes);
+        let collected = run_submission_via(&Estimator::new(), &submission);
         assert!(streamed.is_err());
         assert_eq!(streamed.unwrap_err(), collected.unwrap_err());
         assert!(bytes.is_empty(), "no partial output on a failed single job");

@@ -116,7 +116,7 @@ use std::sync::{mpsc, Arc};
 use qre_core::{Estimator, FactoryCache, Shard};
 use qre_json::{ObjectBuilder, Value};
 
-use crate::{sweep_item_json, Submission, SubmissionKind};
+use crate::{ItemCounts, ItemRun, Submission, SubmissionKind};
 
 /// Knobs of a serve service (pipe or network).
 #[derive(Debug, Clone)]
@@ -569,7 +569,7 @@ fn save_store(store: &FactoryCache, path: &Path) -> usize {
 
 /// Concatenate two JSON objects' fields (`head`'s first); a non-object
 /// `tail` passes through unchanged.
-fn merge_objects(head: Value, tail: Value) -> Value {
+pub(crate) fn merge_objects(head: Value, tail: Value) -> Value {
     match (head, tail) {
         (Value::Object(mut pairs), Value::Object(tail)) => {
             pairs.extend(tail);
@@ -585,13 +585,7 @@ fn job_record(id: &Value, tail: Value) -> Value {
 }
 
 fn error_record(id: &Value, message: String) -> Value {
-    job_record(
-        id,
-        ObjectBuilder::new()
-            .field("status", "error")
-            .field("message", message)
-            .build(),
-    )
+    job_record(id, crate::error_object(message))
 }
 
 /// The session-opening lifecycle record: identity plus the store size, so a
@@ -790,13 +784,6 @@ fn run_serve_job(
     }
 }
 
-/// Per-job item/error tally feeding the `"stats"` record.
-#[derive(Debug, Clone, Copy)]
-struct ItemCounts {
-    items: usize,
-    errors: usize,
-}
-
 /// Execute a submission's payload, emitting completion-order item records.
 /// When `emit` reports a dead session, batch and sweep execution stop after
 /// the in-flight items instead of finishing undeliverable work.
@@ -811,103 +798,57 @@ fn execute(
         return Err("`shard` applies only to `sweep` jobs".into());
     }
     let stream = submission.stream;
-    match submission.kind {
+    let items = match submission.kind {
         // A frontier job with `"stream": true` delivers one record per
         // Pareto point (the pipe mode's streamed records, each wrapped in
         // the job envelope) instead of one monolithic frontier document.
         SubmissionKind::Single(spec) if stream && spec.frontier => {
-            match crate::run_frontier_points_via(engine, &spec) {
+            return Ok(match crate::run_frontier_points_via(engine, &spec) {
                 Ok(points) => {
                     for (i, p) in points.iter().enumerate() {
                         if !emit(job_record(id, crate::frontier_point_json(i, p))) {
                             break;
                         }
                     }
-                    Ok(ItemCounts {
+                    ItemCounts {
                         items: points.len(),
                         errors: 0,
-                    })
+                    }
                 }
                 Err(e) => {
                     emit(error_record(id, e));
-                    Ok(ItemCounts {
+                    ItemCounts {
                         items: 1,
                         errors: 1,
-                    })
+                    }
                 }
-            }
+            });
         }
-        SubmissionKind::Single(spec) => match crate::run_job_via(engine, &spec) {
-            Ok(value) => {
-                emit(job_record(id, value));
-                Ok(ItemCounts {
-                    items: 1,
-                    errors: 0,
-                })
-            }
+        SubmissionKind::Single(spec) => {
             // Unlike the one-shot CLI, a failing single job must not end the
             // session: report it in place and keep serving.
-            Err(e) => {
-                emit(error_record(id, e));
-                Ok(ItemCounts {
-                    items: 1,
-                    errors: 1,
-                })
-            }
-        },
-        SubmissionKind::Batch(jobs) => {
-            let errors = std::sync::atomic::AtomicUsize::new(0);
-            qre_par::parallel_map_streamed_until(
-                &jobs,
-                |_, spec| match crate::run_job_via(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        ObjectBuilder::new()
-                            .field("status", "error")
-                            .field("message", e)
-                            .build()
-                    }
-                },
-                |index, value| {
-                    let indexed = ObjectBuilder::new().field("index", index as u64).build();
-                    if emit(job_record(id, merge_objects(indexed, value))) {
-                        std::ops::ControlFlow::Continue(())
-                    } else {
-                        std::ops::ControlFlow::Break(())
-                    }
-                },
-            );
-            Ok(ItemCounts {
-                items: jobs.len(),
-                errors: errors.load(Ordering::Relaxed),
-            })
+            let errors = match crate::run_job_via(engine, &spec) {
+                Ok(value) => {
+                    emit(job_record(id, value));
+                    0
+                }
+                Err(e) => {
+                    emit(error_record(id, e));
+                    1
+                }
+            };
+            return Ok(ItemCounts { items: 1, errors });
         }
+        SubmissionKind::Batch(ref jobs) => ItemRun::Batch(jobs),
         SubmissionKind::Sweep(spec) => {
             let spec = match shard {
-                Some(s) => (*spec)
-                    .shard_of(s.index, s.count)
-                    .map_err(|e| e.to_string())?,
+                Some(s) => spec.shard_of(s.index, s.count).map_err(|e| e.to_string())?,
                 None => *spec,
             };
-            let mut counts = ItemCounts {
-                items: 0,
-                errors: 0,
-            };
-            let stream = engine.sweep_stream(&spec).map_err(|e| e.to_string())?;
-            for outcome in stream {
-                counts.items += 1;
-                if outcome.outcome.is_err() {
-                    counts.errors += 1;
-                }
-                if !emit(job_record(id, sweep_item_json(&outcome))) {
-                    // Dropping the stream cancels the remaining items.
-                    break;
-                }
-            }
-            Ok(counts)
+            ItemRun::sweep(engine, &spec)?
         }
-    }
+    };
+    Ok(items.run(engine, |record| emit(job_record(id, record))))
 }
 
 /// The job's closing `"stats"` record.

@@ -242,7 +242,7 @@ mod tests {
         );
         assert!(shape.len() >= 10_000);
         assert_eq!(StressShape::covering(1).len(), 84, "one workload row");
-        assert_eq!(stress_spec(10_000).total_len(), 10_080);
+        assert_eq!(stress_spec(10_000).total_len().unwrap(), 10_080);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The estimation engine: one *streamed* batch/sweep execution path with a
 //! shared, memoized T-factory cache.
 //!
-//! [`Estimator`] is the centre of the public API. Every consumer — the
-//! one-shot [`crate::EstimationJob`] wrapper, the CLI's job arrays and sweep
-//! form, the figure harness, and the qubit/runtime frontier — funnels into
+//! [`Estimator`] is the centre of the public API. Every consumer — one-shot
+//! estimates, the CLI's job arrays and sweep form, the figure harness, and
+//! the qubit/runtime frontier — funnels into
 //! one streamed execution core ([`qre_par::parallel_map_streamed`]): items
 //! run in parallel and their outcomes are delivered **as they finish**, with
 //! per-item errors reported in place rather than aborting the batch. Three
@@ -48,7 +48,7 @@ use crate::budget::PartitionSearch;
 use crate::cache::{CacheStats, FactoryCache};
 use crate::error::{Error, Result};
 use crate::estimate::PhysicalResourceEstimation;
-use crate::frontier::{estimate_frontier_searched_via, estimate_frontier_via, FrontierPoint};
+use crate::frontier::{frontier_searched_via, frontier_via, FrontierPoint};
 use crate::request::{EstimateRequest, SweepPoint, SweepSpec};
 use crate::result::EstimationResult;
 
@@ -256,7 +256,7 @@ impl Estimator {
     /// cache: the factory design is computed once and reused by every
     /// factory-cap re-estimate.
     pub fn frontier(&self, request: &EstimateRequest) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_via(self, &request.estimation, |_| {})
+        frontier_via(self, &request.estimation, |_| {})
     }
 
     /// Like [`Estimator::frontier`], streaming each factory-cap re-estimate
@@ -273,15 +273,7 @@ impl Estimator {
     where
         F: FnMut(&SweepOutcome),
     {
-        estimate_frontier_via(self, &request.estimation, on_point)
-    }
-
-    /// Like [`Estimator::frontier`], for an already-assembled estimation.
-    pub fn frontier_of(
-        &self,
-        estimation: &PhysicalResourceEstimation,
-    ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_via(self, estimation, |_| {})
+        frontier_via(self, &request.estimation, on_point)
     }
 
     /// Explore the two-axis (error-budget partition × factory-copy cap)
@@ -295,7 +287,7 @@ impl Estimator {
         request: &EstimateRequest,
         search: &PartitionSearch,
     ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_searched_via(self, &request.estimation, search, |_| {})
+        frontier_searched_via(self, &request.estimation, search, |_| {})
     }
 
     /// Like [`Estimator::frontier_searched`], streaming every exploratory
@@ -314,17 +306,7 @@ impl Estimator {
     where
         F: FnMut(&SweepOutcome),
     {
-        estimate_frontier_searched_via(self, &request.estimation, search, on_point)
-    }
-
-    /// Like [`Estimator::frontier_searched`], for an already-assembled
-    /// estimation.
-    pub fn frontier_searched_of(
-        &self,
-        estimation: &PhysicalResourceEstimation,
-        search: &PartitionSearch,
-    ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_searched_via(self, estimation, search, |_| {})
+        frontier_searched_via(self, &request.estimation, search, on_point)
     }
 
     /// Hit/miss/size counters of the factory cache.
@@ -481,30 +463,16 @@ impl<O> Drop for OutcomeStream<O> {
     }
 }
 
-/// Merge the outcomes of a sweep's shards back into the full expansion
-/// order, verifying completeness.
+/// The validating shard join: flatten the per-shard vectors, sort by each
+/// item's global index (`index_of`), and verify the union is exactly `0..n`
+/// — a duplicate or missing index fails with [`Error::InvalidInput`] naming
+/// the first gap.
 ///
 /// This is the join side of [`crate::SweepSpec::shard`]: run each shard
 /// (possibly in a different process), collect the per-shard outcome vectors,
-/// and merge. Outcomes are sorted by their global `point.index`; the merge
-/// fails with [`Error::InvalidInput`] if the union has a duplicate or
-/// missing index — i.e. unless the shards came from one spec partitioned by
-/// a single `(count)` — so a successful merge *is* the proof that the union
-/// covers the unsharded sweep exactly. ([`merge_indexed`] is the same join
-/// for any item type that carries its global index; the `qre merge` CLI
-/// verb uses it to join shard NDJSON files record-by-record.)
-pub fn merge_sharded(
-    shards: impl IntoIterator<Item = Vec<SweepOutcome>>,
-) -> Result<Vec<SweepOutcome>> {
-    merge_indexed(shards, |o| o.point.index)
-}
-
-/// The validating shard join over any item type: flatten the per-shard
-/// vectors, sort by each item's global index (`index_of`), and verify the
-/// union is exactly `0..n` — a duplicate or missing index fails with
-/// [`Error::InvalidInput`] naming the first gap. [`merge_sharded`] is this
-/// join specialized to [`SweepOutcome`]s; the CLI's `qre merge` verb applies
-/// it to raw NDJSON records via their `"index"` field.
+/// and merge with `|o| o.point.index`. A successful merge *is* the proof that
+/// the union covers the unsharded sweep exactly. The `qre merge` CLI verb
+/// applies the same join to raw NDJSON records via their `"index"` field.
 pub fn merge_indexed<T>(
     shards: impl IntoIterator<Item = Vec<T>>,
     index_of: impl Fn(&T) -> usize,
@@ -727,7 +695,7 @@ mod tests {
             .iter()
             .map(|shard| Estimator::new().sweep(shard).unwrap())
             .collect();
-        let merged = merge_sharded(per_shard).unwrap();
+        let merged = merge_indexed(per_shard, |o| o.point.index).unwrap();
         assert_eq!(merged.len(), full.len());
         for (m, f) in merged.iter().zip(&full) {
             assert_eq!(m.point.index, f.point.index);
@@ -737,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sharded_rejects_gaps_and_duplicates() {
+    fn merge_indexed_rejects_gaps_and_duplicates() {
         let spec = SweepSpec::new()
             .workload("w", counts(2_000))
             .profiles(PhysicalQubit::default_profiles());
@@ -747,12 +715,12 @@ mod tests {
         let c = engine.sweep(&shards[2]).unwrap();
 
         // Missing middle shard: the gap is named.
-        let err = merge_sharded(vec![a.clone(), c.clone()]).unwrap_err();
+        let err = merge_indexed(vec![a.clone(), c.clone()], |o| o.point.index).unwrap_err();
         assert!(err.to_string().contains("expected item index 2"), "{err}");
 
         // Duplicate shard: the repeat is caught too.
         let b = engine.sweep(&shards[1]).unwrap();
-        assert!(merge_sharded(vec![a.clone(), a, b, c]).is_err());
+        assert!(merge_indexed(vec![a.clone(), a, b, c], |o| o.point.index).is_err());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Beyond the single default estimate, the tool can explore the trade-off
 //! the paper's Section IV-C.4 describes: slowing the computation down lets
 //! fewer T-factory copies feed the same T-state demand, shrinking the qubit
-//! footprint at the cost of runtime. [`estimate_frontier`] sweeps the
+//! footprint at the cost of runtime. [`Estimator::frontier`] sweeps the
 //! factory-copy cap from the unconstrained optimum down to one copy and
 //! returns the Pareto-optimal (physical qubits, runtime) points.
 //!
-//! [`estimate_frontier_searched`] widens the search to the second design
+//! [`Estimator::frontier_searched`] widens the search to the second design
 //! axis the paper's Section IV-C.3 leaves free: the error-budget partition.
 //! A deterministic [`PartitionSearch`] grid of ε_log/ε_dis splits (ε_syn
 //! charged only when the program has rotations) is crossed with the cap
@@ -41,23 +41,15 @@ pub struct FrontierPoint {
     pub result: EstimationResult,
 }
 
-/// Explore the qubit/runtime frontier with a transient engine.
+/// Frontier exploration through a caller-owned engine (the implementation
+/// behind [`Estimator::frontier`] and [`Estimator::frontier_with`]).
 ///
 /// Returns points sorted by descending physical qubits (i.e. ascending
 /// runtime), reduced to the Pareto frontier. For T-free programs the result
-/// is the single unconstrained estimate. Callers running several frontiers
-/// (or mixing frontiers with other estimates) should prefer
-/// [`Estimator::frontier`], which shares one factory cache across all of
-/// them.
-pub fn estimate_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
-    estimate_frontier_via(&Estimator::new(), estimation, |_| {})
-}
-
-/// Frontier exploration through a caller-owned engine (the implementation
-/// behind [`Estimator::frontier`] and [`Estimator::frontier_with`]).
-/// `on_point` observes each cap re-estimate in completion order, before the
-/// Pareto reduction drops dominated and failed points.
-pub(crate) fn estimate_frontier_via<F>(
+/// is the single unconstrained estimate. `on_point` observes each cap
+/// re-estimate in completion order, before the Pareto reduction drops
+/// dominated and failed points.
+pub(crate) fn frontier_via<F>(
     engine: &Estimator,
     estimation: &PhysicalResourceEstimation,
     on_point: F,
@@ -114,33 +106,22 @@ where
     Ok(pareto_reduce(points))
 }
 
-/// Explore the two-axis (budget partition × factory-copy cap) frontier with
-/// a transient engine.
+/// Two-axis frontier exploration through a caller-owned engine (the
+/// implementation behind [`Estimator::frontier_searched`]).
 ///
 /// The candidate partitions come from `search`'s grid over the estimation's
 /// own total budget (the estimation's partition is always the first grid
 /// point); the cap axis is the union of every feasible partition's cap
 /// ladder, so the fixed-partition frontier's entire search space is a
 /// subset of this one and the result weakly dominates it point-for-point.
-/// Returns points in the same descending-qubits order as
-/// [`estimate_frontier`], each carrying the partition that produced it.
-/// Callers running several frontiers should prefer
-/// [`Estimator::frontier_searched`], which shares one factory cache.
-pub fn estimate_frontier_searched(
-    estimation: &PhysicalResourceEstimation,
-    search: &PartitionSearch,
-) -> Result<Vec<FrontierPoint>> {
-    estimate_frontier_searched_via(&Estimator::new(), estimation, search, |_| {})
-}
-
-/// Two-axis frontier exploration through a caller-owned engine (the
-/// implementation behind [`Estimator::frontier_searched`]).
+/// Returns points in the same descending-qubits order as [`frontier_via`],
+/// each carrying the partition that produced it.
 ///
 /// `on_point` observes every exploratory re-estimate in completion order:
 /// first the per-partition unconstrained base estimates (one sweep over the
 /// budget axis), then the full (partition × cap) product (a second sweep,
 /// budgets outer and caps inner). Indices restart between the two sweeps.
-pub(crate) fn estimate_frontier_searched_via<F>(
+pub(crate) fn frontier_searched_via<F>(
     engine: &Estimator,
     estimation: &PhysicalResourceEstimation,
     search: &PartitionSearch,
@@ -331,6 +312,21 @@ mod tests {
     use crate::tfactory::TFactoryBuilder;
     use qre_circuit::LogicalCounts;
 
+    /// The fixed-partition frontier on a fresh engine.
+    fn fixed_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
+        frontier_via(&Estimator::new(), estimation, |_| {})
+    }
+
+    /// The searched frontier on a fresh engine.
+    fn searched_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
+        frontier_searched_via(
+            &Estimator::new(),
+            estimation,
+            &PartitionSearch::default(),
+            |_| {},
+        )
+    }
+
     fn estimation() -> PhysicalResourceEstimation {
         PhysicalResourceEstimation {
             counts: LogicalCounts {
@@ -350,7 +346,7 @@ mod tests {
 
     #[test]
     fn frontier_is_monotone() {
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let frontier = fixed_frontier(&estimation()).unwrap();
         assert!(frontier.len() >= 2, "expected a real trade-off curve");
         for w in frontier.windows(2) {
             let (a, b) = (&w[0].result.physical_counts, &w[1].result.physical_counts);
@@ -367,7 +363,7 @@ mod tests {
 
     #[test]
     fn frontier_ends_at_single_factory() {
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let frontier = fixed_frontier(&estimation()).unwrap();
         let last = frontier.last().unwrap();
         assert_eq!(last.result.breakdown.num_t_factories, 1);
     }
@@ -375,7 +371,7 @@ mod tests {
     #[test]
     fn frontier_contains_unconstrained_point() {
         let base = estimation().estimate().unwrap();
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let frontier = fixed_frontier(&estimation()).unwrap();
         let first = &frontier[0].result;
         assert_eq!(
             first.physical_counts.runtime_ns,
@@ -391,7 +387,7 @@ mod tests {
             measurement_count: 100,
             ..Default::default()
         };
-        let frontier = estimate_frontier(&est).unwrap();
+        let frontier = fixed_frontier(&est).unwrap();
         assert_eq!(frontier.len(), 1);
     }
 
@@ -443,7 +439,7 @@ mod tests {
     fn frontier_observer_sees_every_cap_outcome() {
         let engine = Estimator::new();
         let mut observed = Vec::new();
-        let frontier = estimate_frontier_via(&engine, &estimation(), |o| {
+        let frontier = frontier_via(&engine, &estimation(), |o| {
             observed.push((o.point.index, o.outcome.is_ok()));
         })
         .unwrap();
@@ -459,10 +455,9 @@ mod tests {
     fn searched_frontier_weakly_dominates_fixed() {
         let engine = Estimator::new();
         let est = estimation();
-        let fixed = estimate_frontier_via(&engine, &est, |_| {}).unwrap();
+        let fixed = frontier_via(&engine, &est, |_| {}).unwrap();
         let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {})
-                .unwrap();
+            frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {}).unwrap();
         for p in &fixed {
             let dominated = searched.iter().any(|q| {
                 q.result.physical_counts.physical_qubits <= p.result.physical_counts.physical_qubits
@@ -479,7 +474,7 @@ mod tests {
     #[test]
     fn searched_frontier_is_monotone_and_carries_partitions() {
         let est = estimation();
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let searched = searched_frontier(&est).unwrap();
         assert!(searched.len() >= 2);
         for w in searched.windows(2) {
             let (a, b) = (&w[0].result.physical_counts, &w[1].result.physical_counts);
@@ -503,10 +498,9 @@ mod tests {
         let engine = Estimator::new();
         let est = estimation();
         assert_eq!(est.counts.rotation_count, 0);
-        let fixed = estimate_frontier_via(&engine, &est, |_| {}).unwrap();
+        let fixed = frontier_via(&engine, &est, |_| {}).unwrap();
         let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {})
-                .unwrap();
+            frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {}).unwrap();
         let min_qubits = |f: &[FrontierPoint]| {
             f.iter()
                 .map(|p| p.result.physical_counts.physical_qubits)
@@ -538,7 +532,7 @@ mod tests {
             rotation_depth: 500,
             ..Default::default()
         };
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let searched = searched_frontier(&est).unwrap();
         assert!(!searched.is_empty());
         for p in &searched {
             assert!(
@@ -556,11 +550,11 @@ mod tests {
             measurement_count: 100,
             ..Default::default()
         };
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let searched = searched_frontier(&est).unwrap();
         // Partitions differ only in slices a T-free program never spends,
         // except ε_log — the Pareto set collapses to the best logical slice.
         assert_eq!(searched.len(), 1);
-        let fixed = estimate_frontier(&est).unwrap();
+        let fixed = fixed_frontier(&est).unwrap();
         assert!(
             searched[0].result.physical_counts.physical_qubits
                 <= fixed[0].result.physical_counts.physical_qubits
@@ -573,27 +567,14 @@ mod tests {
         let mut observed = 0usize;
         let est = estimation();
         let grid_len = PartitionSearch::default().grid(&est.budget, false).len();
-        let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {
-                observed += 1;
-            })
-            .unwrap();
+        let searched = frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {
+            observed += 1;
+        })
+        .unwrap();
         // Phase 1 contributes one outcome per grid partition; phase 2 the
         // full (partition × cap) product.
         assert!(observed > grid_len);
         assert_eq!((observed - grid_len) % grid_len, 0);
         assert!(searched.len() <= observed);
-    }
-
-    #[test]
-    fn engine_frontier_matches_free_function() {
-        let engine = Estimator::new();
-        let via_engine = engine.frontier_of(&estimation()).unwrap();
-        let via_free = estimate_frontier(&estimation()).unwrap();
-        assert_eq!(via_engine.len(), via_free.len());
-        for (a, b) in via_engine.iter().zip(&via_free) {
-            assert_eq!(a.max_t_factories, b.max_t_factories);
-            assert_eq!(a.result, b.result);
-        }
     }
 }

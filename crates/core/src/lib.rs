@@ -28,8 +28,8 @@
 //! callbacks ([`Estimator::estimate_batch_with`], [`Estimator::sweep_with`],
 //! [`Estimator::frontier_with`]) and background-thread iterators
 //! ([`Estimator::estimate_batch_stream`], [`Estimator::sweep_stream`]).
-//! [`EstimationJob`] is the one-shot convenience wrapper; power users drive
-//! [`PhysicalResourceEstimation`] directly.
+//! A single estimate is an [`EstimateRequest`] run by
+//! [`Estimator::estimate`] (see the [`Estimator`] example).
 //!
 //! The engine's memoized T-factory design store ([`FactoryCache`]) can be
 //! shared process-wide ([`FactoryCache::scoped`] views with exact per-scope
@@ -37,7 +37,7 @@
 //! and persisted across processes ([`FactoryCache::save`] /
 //! [`FactoryCache::load`] versioned JSON snapshots). Sweeps partition
 //! across processes with [`SweepSpec::shard`] and re-join through the
-//! validating merges [`merge_sharded`] / [`merge_indexed`].
+//! validating merge [`merge_indexed`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -48,7 +48,6 @@ mod engine;
 mod error;
 mod estimate;
 mod frontier;
-mod job;
 mod layout;
 mod physical_qubit;
 mod qec;
@@ -59,13 +58,12 @@ mod tfactory;
 pub use budget::{ErrorBudget, PartitionSearch};
 pub use cache::{CacheStats, FactoryCache, SearchCounters, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use engine::{
-    collect_results, merge_indexed, merge_sharded, BatchOutcome, BatchStream, Estimator,
-    OutcomeStream, SweepOutcome, SweepStream,
+    collect_results, merge_indexed, BatchOutcome, BatchStream, Estimator, OutcomeStream,
+    SweepOutcome, SweepStream,
 };
 pub use error::{Error, Result};
 pub use estimate::{Constraints, PhysicalResourceEstimation};
-pub use frontier::{estimate_frontier, estimate_frontier_searched, FrontierPoint};
-pub use job::{EstimationJob, EstimationJobBuilder};
+pub use frontier::FrontierPoint;
 pub use layout::{layout, post_layout_logical_qubits, t_states_per_rotation, LogicalLayout};
 pub use physical_qubit::{InstructionSet, PhysicalQubit};
 pub use qec::{DistanceRow, DistanceTable, LogicalQubit, QecScheme, QecSchemeKind};

@@ -4,11 +4,11 @@
 
 use crate::budget::{ErrorBudget, PartitionSearch};
 use crate::cache::FactoryCache;
-use crate::engine::{merge_sharded, Estimator};
+use crate::engine::{merge_indexed, Estimator};
 use crate::estimate::{Constraints, PhysicalResourceEstimation};
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{QecScheme, QecSchemeKind};
-use crate::request::SweepSpec;
+use crate::request::{EstimateRequest, SweepSpec};
 use crate::tfactory::{
     default_distillation_units, DistillationUnit, LogicalUnitSpec, PhysicalUnitSpec,
     TFactoryBuilder,
@@ -253,9 +253,10 @@ proptest! {
         counts in arb_counts(),
         profile in arb_profile(),
     ) {
-        let estimation = make(counts, profile, 1e-3);
+        let request = EstimateRequest::from_estimation(make(counts, profile, 1e-3));
+        let estimation = &request.estimation;
         let engine = Estimator::new();
-        let Ok(frontier) = engine.frontier_of(&estimation) else {
+        let Ok(frontier) = engine.frontier(&request) else {
             return Ok(()); // infeasible scenarios have no frontier
         };
         prop_assert!(!frontier.is_empty());
@@ -329,15 +330,16 @@ proptest! {
         profile in arb_profile(),
         budget_exp in 2u32..6,
     ) {
-        let estimation = make(counts, profile, 10f64.powi(-(budget_exp as i32)));
+        let request = EstimateRequest::from_estimation(
+            make(counts, profile, 10f64.powi(-(budget_exp as i32))),
+        );
         let engine = Estimator::new();
-        let Ok(fixed) = engine.frontier_of(&estimation) else {
+        let Ok(fixed) = engine.frontier(&request) else {
             return Ok(()); // infeasible scenarios have no frontier
         };
         // The base partition is the searched grid's first point, so a
         // scenario with a fixed frontier always has a searched one.
-        let searched = engine
-            .frontier_searched_of(&estimation, &PartitionSearch::default());
+        let searched = engine.frontier_searched(&request, &PartitionSearch::default());
         prop_assert!(searched.is_ok(), "searched frontier lost feasibility");
         let searched = searched.unwrap();
         for fp in &fixed {
@@ -356,7 +358,7 @@ proptest! {
                 "fixed point ({q} qubits, {t} ns) not weakly dominated"
             );
         }
-        let total = estimation.budget.total();
+        let total = request.estimation.budget.total();
         for sp in &searched {
             prop_assert!(
                 (sp.budget.total() - total).abs() <= total * 1e-9,
@@ -457,7 +459,7 @@ proptest! {
                     .unwrap()
             })
             .collect();
-        let merged = merge_sharded(per_shard).unwrap();
+        let merged = merge_indexed(per_shard, |o| o.point.index).unwrap();
 
         prop_assert_eq!(merged.len(), full.len());
         for (m, f) in merged.iter().zip(&full) {

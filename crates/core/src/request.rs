@@ -479,7 +479,7 @@ impl SweepSpec {
     /// expansion: `spec.shard(n)[i]` equals `spec.shard_of(i, n)`. Shards
     /// beyond the item count come back empty ([`SweepSpec::len`] of 0), so
     /// `count` may exceed the number of expanded items. The join side is
-    /// [`crate::merge_sharded`] in-process, or the `qre merge` CLI verb
+    /// [`crate::merge_indexed`] in-process, or the `qre merge` CLI verb
     /// over the shard sessions' NDJSON output files.
     pub fn shard(&self, count: usize) -> Result<Vec<SweepSpec>> {
         (0..count)
@@ -497,22 +497,43 @@ impl SweepSpec {
     }
 
     /// Number of items *this spec executes*: the shard's block when sharded,
-    /// the whole cartesian product otherwise.
+    /// the whole cartesian product otherwise. A spec whose product does not
+    /// fit in `usize` executes nothing — every execution path rejects it
+    /// with the error [`SweepSpec::total_len`] returns — so its length is 0.
     pub fn len(&self) -> usize {
-        match self.shard {
-            Some(shard) => shard.range(self.total_len()).len(),
-            None => self.total_len(),
-        }
+        self.item_range().map_or(0, |range| range.len())
     }
 
     /// Number of items the full cartesian product expands to, ignoring any
-    /// shard restriction.
-    pub fn total_len(&self) -> usize {
-        self.workloads.len()
-            * self.profiles.len()
-            * self.schemes.len().max(1)
-            * self.budgets.len().max(1)
-            * self.constraints.len().max(1)
+    /// shard restriction. A product that overflows `usize` is an
+    /// [`Error::InvalidInput`] naming the axis lengths.
+    pub fn total_len(&self) -> Result<usize> {
+        let axes = [
+            self.workloads.len(),
+            self.profiles.len(),
+            self.schemes.len().max(1),
+            self.budgets.len().max(1),
+            self.constraints.len().max(1),
+        ];
+        axes.iter()
+            .try_fold(1usize, |product, &len| product.checked_mul(len))
+            .ok_or_else(|| {
+                let [w, p, s, b, c] = axes;
+                Error::InvalidInput(format!(
+                    "sweep of {w} workloads × {p} profiles × {s} QEC schemes × {b} error \
+                     budgets × {c} constraints has more items than fit in a usize"
+                ))
+            })
+    }
+
+    /// The expanded item indices this spec executes: the shard's block when
+    /// sharded, the whole product otherwise.
+    fn item_range(&self) -> Result<std::ops::Range<usize>> {
+        let total = self.total_len()?;
+        Ok(match self.shard {
+            Some(shard) => shard.range(total),
+            None => 0..total,
+        })
     }
 
     /// `true` when a mandatory axis is empty or the shard's block is empty.
@@ -560,10 +581,7 @@ impl SweepSpec {
             &self.constraints
         };
 
-        let range = match self.shard {
-            Some(shard) => shard.range(self.total_len()),
-            None => 0..self.total_len(),
-        };
+        let range = self.item_range()?;
         let mut next_index = 0usize;
         let mut items = Vec::with_capacity(range.len());
         for (workload, counts) in &self.workloads {
@@ -755,18 +773,18 @@ mod tests {
     #[test]
     fn sharded_expansion_keeps_global_indices_and_unions_to_the_whole() {
         let spec = multi_axis_spec();
-        assert_eq!(spec.total_len(), 8);
+        assert_eq!(spec.total_len().unwrap(), 8);
         let full = spec.expand().unwrap();
 
         let shards = spec.shard(3).unwrap();
         assert_eq!(shards.len(), 3);
         let lens: Vec<usize> = shards.iter().map(SweepSpec::len).collect();
         assert_eq!(lens, vec![3, 3, 2]);
-        assert_eq!(lens.iter().sum::<usize>(), spec.total_len());
+        assert_eq!(lens.iter().sum::<usize>(), spec.total_len().unwrap());
 
         let mut union: Vec<(SweepPoint, _)> = Vec::new();
         for shard in &shards {
-            assert_eq!(shard.total_len(), 8, "total_len ignores the shard");
+            assert_eq!(shard.total_len().unwrap(), 8, "total_len ignores the shard");
             union.extend(shard.expand().unwrap());
         }
         union.sort_by_key(|(p, _)| p.index);
@@ -784,7 +802,7 @@ mod tests {
         let spec = SweepSpec::new()
             .workload("w", counts())
             .profile(PhysicalQubit::qubit_gate_ns_e3());
-        assert_eq!(spec.total_len(), 1);
+        assert_eq!(spec.total_len().unwrap(), 1);
         let shards = spec.shard(4).unwrap();
         assert_eq!(shards[0].len(), 1);
         for shard in &shards[1..] {
@@ -805,6 +823,109 @@ mod tests {
         assert!(multi_axis_spec().shard(0).is_err());
         assert!(multi_axis_spec().shard_of(0, 0).is_err());
         assert!(multi_axis_spec().shard_of(2, 2).is_err());
+    }
+
+    #[test]
+    fn overflowing_sweep_size_is_an_error_not_a_wrap() {
+        // 8000^5 ≈ 3.3e19 > u64::MAX: the product must be rejected, never
+        // wrapped (release) or panicked on (debug).
+        const AXIS: usize = 8_000;
+        let spec = SweepSpec::new()
+            .workloads((0..AXIS).map(|i| (format!("w{i}"), counts())))
+            .profiles(std::iter::repeat_n(PhysicalQubit::qubit_gate_ns_e3(), AXIS))
+            .constraint_axis(std::iter::repeat_n(Constraints::default(), AXIS));
+        let spec = (0..AXIS).fold(spec, |spec, _| {
+            spec.qec(QecSchemeKind::SurfaceCode)
+                .budget(ErrorBudget::from_total(1e-3).unwrap())
+        });
+        let err = spec.total_len().unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)));
+        let message = err.to_string();
+        assert_eq!(message.matches("8000").count(), 5, "{message}");
+        assert_eq!(spec.len(), 0);
+        assert!(spec.is_empty());
+        assert!(spec.expand().is_err());
+        let sharded = spec.clone().shard_of(1, 3).unwrap();
+        assert_eq!(sharded.len(), 0);
+        assert!(sharded.expand().is_err());
+        let engine = crate::engine::Estimator::new();
+        assert!(engine.sweep(&spec).is_err());
+        assert!(engine.sweep_with(&spec, |_| {}).is_err());
+        assert!(engine.sweep_stream(&spec).is_err());
+    }
+
+    fn request_builder() -> EstimateRequestBuilder {
+        EstimateRequest::builder()
+            .counts(counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .total_error_budget(1e-3)
+    }
+
+    #[test]
+    fn builder_requires_all_mandatory_fields() {
+        assert!(EstimateRequest::builder().build().is_err());
+        assert!(EstimateRequest::builder().counts(counts()).build().is_err());
+        assert!(EstimateRequest::builder()
+            .counts(counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .build()
+            .is_err());
+        assert!(EstimateRequest::builder()
+            .counts(counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .build()
+            .is_err());
+        assert!(request_builder().build().is_ok());
+    }
+
+    #[test]
+    fn floquet_on_gate_based_rejected_at_build() {
+        let err = request_builder()
+            .qec(QecSchemeKind::FloquetCode)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)));
+    }
+
+    #[test]
+    fn invalid_factory_rounds_rejected() {
+        let err = request_builder().max_factory_rounds(0).build().unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)));
+    }
+
+    #[test]
+    fn custom_scheme_with_explicit_parts_and_zero_rotation_budget() {
+        let request = request_builder()
+            .qec_custom(QecScheme::surface_code_gate_based())
+            .error_budget_parts(1e-4, 1e-4, 0.0)
+            .build()
+            .unwrap();
+        let r = crate::engine::Estimator::new().estimate(&request).unwrap();
+        assert_eq!(r.qec_scheme.name, "surface_code");
+        assert_eq!(r.error_budget.rotations, 0.0);
+    }
+
+    #[test]
+    fn end_to_end_with_constraints() {
+        let request = request_builder()
+            .profile(PhysicalQubit::qubit_maj_ns_e4())
+            .qec(QecSchemeKind::FloquetCode)
+            .total_error_budget(1e-4)
+            .max_t_factories(2)
+            .build()
+            .unwrap();
+        let r = crate::engine::Estimator::new().estimate(&request).unwrap();
+        assert!(r.breakdown.num_t_factories <= 2);
+        assert!(r.physical_counts.rqops > 0.0);
+    }
+
+    #[test]
+    fn frontier_through_request_api() {
+        let request = request_builder().build().unwrap();
+        let frontier = crate::engine::Estimator::new().frontier(&request).unwrap();
+        assert!(!frontier.is_empty());
     }
 
     #[test]

@@ -791,10 +791,15 @@ mod tests {
         assert_eq!(proc_status_kb(status, "VmHWM:"), Some(123_456 * 1024));
         assert_eq!(proc_status_kb(status, "VmRSS:"), Some(1024 * 1024));
         assert_eq!(proc_status_kb(status, "VmPeak:"), None);
-        // On Linux both readers must produce consistent, non-zero values:
-        // the high-water mark can never undercut the current RSS.
+        // On Linux both readers must produce non-zero values, and within
+        // one snapshot the high-water mark can never undercut the current
+        // RSS. Two separate reads would race: the second read's own
+        // allocation can grow RSS past the peak the first read saw.
         if let (Some(peak), Some(now)) = (peak_rss_bytes(), current_rss_bytes()) {
-            assert!(now > 0);
+            assert!(peak > 0 && now > 0);
+            let snapshot = std::fs::read_to_string("/proc/self/status").unwrap();
+            let peak = proc_status_kb(&snapshot, "VmHWM:").unwrap();
+            let now = proc_status_kb(&snapshot, "VmRSS:").unwrap();
             assert!(peak >= now, "VmHWM {peak} < VmRSS {now}");
         }
     }

@@ -8,8 +8,8 @@
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::estimator::{
-    format_duration_ns, format_sci, group_digits, EstimationJob, HardwareProfile, InstructionSet,
-    QecSchemeKind,
+    format_duration_ns, format_sci, group_digits, EstimateRequest, Estimator, HardwareProfile,
+    InstructionSet, QecSchemeKind,
 };
 
 fn main() {
@@ -29,14 +29,16 @@ fn main() {
             InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let job = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(profile.clone())
             .qec(kind)
             .total_error_budget(1e-4)
             .build()
-            .expect("valid job");
-        let r = job.estimate().expect("feasible estimate");
+            .expect("valid request");
+        let r = Estimator::new()
+            .estimate(&request)
+            .expect("feasible estimate");
         println!(
             "{:<18} {:<13} {:>4} {:>16} {:>14} {:>10}",
             profile.name,

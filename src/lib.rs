@@ -64,12 +64,12 @@
 //!
 //! ## One-shot quickstart
 //!
-//! For a single estimate, [`estimator::EstimationJob`] remains the friendly
-//! wrapper (it compiles and behaves exactly as before the engine existed):
+//! A single estimate is one [`estimator::EstimateRequest`] run by
+//! [`estimator::Estimator::estimate`]:
 //!
 //! ```
 //! use qre::circuit::LogicalCounts;
-//! use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+//! use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 //!
 //! // Logical counts for a small algorithm (the Section IV-B.3 input path).
 //! let counts = LogicalCounts::builder()
@@ -79,7 +79,7 @@
 //!     .measurements(25_000)
 //!     .build();
 //!
-//! let job = EstimationJob::builder()
+//! let request = EstimateRequest::builder()
 //!     .counts(counts)
 //!     .profile(HardwareProfile::qubit_gate_ns_e3())
 //!     .qec(QecSchemeKind::SurfaceCode)
@@ -87,7 +87,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let result = job.estimate().unwrap();
+//! let result = Estimator::new().estimate(&request).unwrap();
 //! assert!(result.physical_counts.physical_qubits > 0);
 //! assert!(result.physical_counts.runtime_ns > 0.0);
 //! println!("{}", result.to_report());

@@ -4,8 +4,7 @@
 
 use qre::circuit::LogicalCounts;
 use qre::estimator::{
-    EstimateRequest, EstimationJob, Estimator, HardwareProfile, QecSchemeKind, SweepScheme,
-    SweepSpec,
+    EstimateRequest, Estimator, HardwareProfile, QecSchemeKind, SweepScheme, SweepSpec,
 };
 
 fn counts(t: u64) -> LogicalCounts {
@@ -76,14 +75,16 @@ fn failing_sweep_item_does_not_poison_siblings() {
     // Successful siblings match their independent estimates.
     for (i, profile) in [(1usize, "qubit_maj_ns_e4"), (3, "qubit_maj_ns_e6")] {
         assert_eq!(outcomes[i].point.profile, profile);
-        let solo = EstimationJob::builder()
-            .counts(counts(10_000))
-            .profile(HardwareProfile::by_name(profile).unwrap())
-            .qec(QecSchemeKind::FloquetCode)
-            .total_error_budget(1e-4)
-            .build()
-            .unwrap()
-            .estimate()
+        let solo = Estimator::new()
+            .estimate(
+                &EstimateRequest::builder()
+                    .counts(counts(10_000))
+                    .profile(HardwareProfile::by_name(profile).unwrap())
+                    .qec(QecSchemeKind::FloquetCode)
+                    .total_error_budget(1e-4)
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         assert_eq!(*outcomes[i].outcome.as_ref().unwrap(), solo);
     }
@@ -121,14 +122,16 @@ fn profile_sweep_hits_the_factory_cache_and_matches_cold_runs() {
             qre::estimator::InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             qre::estimator::InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let cold = EstimationJob::builder()
-            .counts(counts(50_000))
-            .profile(profile.clone())
-            .qec(kind)
-            .total_error_budget(1e-4)
-            .build()
-            .unwrap()
-            .estimate()
+        let cold = Estimator::new()
+            .estimate(
+                &EstimateRequest::builder()
+                    .counts(counts(50_000))
+                    .profile(profile.clone())
+                    .qec(kind)
+                    .total_error_budget(1e-4)
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         assert_eq!(*outcome.outcome.as_ref().unwrap(), cold);
     }

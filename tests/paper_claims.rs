@@ -5,17 +5,19 @@
 //! --release`); these tests pin the claims that fit a debug-mode budget.
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 fn maj_estimate(alg: MulAlgorithm, bits: usize) -> qre::estimator::EstimationResult {
-    EstimationJob::builder()
-        .counts(multiplication_counts(alg, bits))
-        .profile(HardwareProfile::qubit_maj_ns_e4())
-        .qec(QecSchemeKind::FloquetCode)
-        .total_error_budget(1e-4)
-        .build()
-        .unwrap()
-        .estimate()
+    Estimator::new()
+        .estimate(
+            &EstimateRequest::builder()
+                .counts(multiplication_counts(alg, bits))
+                .profile(HardwareProfile::qubit_maj_ns_e4())
+                .qec(QecSchemeKind::FloquetCode)
+                .total_error_budget(1e-4)
+                .build()
+                .unwrap(),
+        )
         .unwrap()
 }
 
@@ -128,14 +130,16 @@ fn e6_majorana_is_fastest_for_windowed_2048_style_workloads() {
             qre::estimator::InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             qre::estimator::InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let r = EstimationJob::builder()
-            .counts(counts)
-            .profile(profile.clone())
-            .qec(kind)
-            .total_error_budget(1e-4)
-            .build()
-            .unwrap()
-            .estimate()
+        let r = Estimator::new()
+            .estimate(
+                &EstimateRequest::builder()
+                    .counts(counts)
+                    .profile(profile.clone())
+                    .qec(kind)
+                    .total_error_budget(1e-4)
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         runtimes.push((profile.name.clone(), r.physical_counts.runtime_ns));
     }

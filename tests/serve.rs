@@ -299,6 +299,39 @@ fn failing_single_jobs_report_in_place_and_serve_continues() {
 }
 
 #[test]
+fn overflowing_sweep_size_is_an_error_record_and_serve_continues() {
+    // Five axes of 8000 entries: 8000^5 ≈ 3.3e19 items, more than a u64
+    // counts. The job must fail with one error record naming the axis
+    // lengths — never wrap into a small sweep or panic — and the session
+    // must answer the next job.
+    let axis = |entry: &str| vec![entry; 8_000].join(",");
+    let sweep = format!(
+        "{{ \"id\": \"huge\", \"sweep\": {{ \"algorithms\": [{}], \"qubitParams\": [{}], \
+         \"qecSchemes\": [{}], \"errorBudgets\": [{}], \"constraints\": [{}] }} }}",
+        axis(r#"{ "logicalCounts": { "numQubits": 10, "tCount": 100 } }"#),
+        axis(r#"{ "name": "qubit_gate_ns_e3" }"#),
+        axis(r#"{ "name": "surface_code" }"#),
+        axis("1e-3"),
+        axis("{}"),
+    );
+    let (summary, lines) = run_serve(&format!("{sweep}\n{ESTIMATE_LINE}\n"), &sequential());
+    assert_eq!(summary.jobs, 2);
+    assert_eq!(summary.job_errors, 1);
+    let huge: Vec<&Value> = lines
+        .iter()
+        .filter(|l| l.get("job").and_then(Value::as_str) == Some("huge"))
+        .collect();
+    assert_eq!(huge.len(), 1, "one error record, no items, no stats");
+    assert_eq!(huge[0].get("status").unwrap().as_str(), Some("error"));
+    let message = huge[0].get("message").unwrap().as_str().unwrap();
+    assert_eq!(message.matches("8000").count(), 5, "{message}");
+    assert!(lines
+        .iter()
+        .any(|l| l.get("job").and_then(Value::as_u64) == Some(2)
+            && l.get("status").and_then(Value::as_str) == Some("success")));
+}
+
+#[test]
 fn batch_jobs_emit_indexed_records() {
     let script = r#"{ "id": "batch", "items": [
         { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } } },

@@ -20,7 +20,7 @@
 mod common;
 
 use common::{Client, NetServer};
-use qre::estimator::{merge_sharded, Estimator, SweepOutcome};
+use qre::estimator::{merge_indexed, Estimator, SweepOutcome};
 use qre_cli::{
     merge_files, run_session, stress_job_line, stress_spec, ServeOptions, ServeShared,
     SessionConfig,
@@ -111,7 +111,7 @@ fn sharded_union_equals_unsharded_sweep_at_scale() {
         .iter()
         .map(|shard| Estimator::new().sweep(shard).expect("shard sweeps"))
         .collect();
-    let merged = merge_sharded(per_shard).expect("shard union covers the sweep");
+    let merged = merge_indexed(per_shard, |o| o.point.index).expect("shard union covers the sweep");
     assert_eq!(merged.len(), full.len());
     for (m, f) in merged.iter().zip(&full) {
         assert_eq!(m.point.index, f.point.index);
@@ -128,7 +128,7 @@ fn sharded_union_equals_unsharded_sweep_at_scale() {
 #[ignore = "scale soak: QRE_SOAK=1 cargo test --release --test soak -- --ignored"]
 fn serve_shards_merge_to_the_unsharded_pipe_sweep_at_scale() {
     let points = soak_points();
-    let total = stress_spec(points).total_len();
+    let total = stress_spec(points).total_len().unwrap();
 
     // Unsharded reference: one pipe session, item records index-sorted.
     let mut full = item_records(&pipe_session(&format!(
@@ -181,7 +181,7 @@ fn serve_shards_merge_to_the_unsharded_pipe_sweep_at_scale() {
 #[ignore = "scale soak: QRE_SOAK=1 cargo test --release --test soak -- --ignored"]
 fn socket_records_equal_pipe_records_at_scale() {
     let points = soak_points();
-    let total = stress_spec(points).total_len();
+    let total = stress_spec(points).total_len().unwrap();
     // One-shard envelope (shard 0 of 1 = the whole sweep) so both
     // transports run the identical job line with the identical string id —
     // records must then match byte-for-byte, envelope included.
