@@ -623,8 +623,8 @@ impl<'a> ItemRun<'a> {
             ItemRun::Batch(jobs) => {
                 counts.items = jobs.len();
                 qre_par::parallel_map_streamed_until(
-                    jobs,
-                    |_, spec| batch_item(engine, spec),
+                    jobs.len(),
+                    |index| batch_item(engine, &jobs[index]),
                     |index, item| {
                         counts.errors += usize::from(item.is_err());
                         let indexed = ObjectBuilder::new().field("index", index as u64).build();

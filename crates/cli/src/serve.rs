@@ -404,7 +404,13 @@ where
             move || -> Result<usize, String> {
                 let mut written = 0usize;
                 for record in receiver {
-                    if let Err(e) = writeln!(output, "{}", record.to_string_compact())
+                    // One write per record, newline included: a record split
+                    // across two writes leaves its tail waiting on the
+                    // peer's delayed ACK on a socket.
+                    let mut line = record.to_string_compact();
+                    line.push('\n');
+                    if let Err(e) = output
+                        .write_all(line.as_bytes())
                         .and_then(|()| output.flush())
                     {
                         output_dead.store(true, Ordering::Relaxed);

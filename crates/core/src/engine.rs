@@ -1,28 +1,35 @@
-//! The estimation engine: one *streamed* batch/sweep execution path with a
+//! The estimation engine: one *streamed* sweep execution path with a
 //! shared, memoized T-factory cache.
 //!
-//! [`Estimator`] is the centre of the public API. Every consumer — one-shot
-//! estimates, the CLI's job arrays and sweep form, the figure harness, and
-//! the qubit/runtime frontier — funnels into
-//! one streamed execution core ([`qre_par::parallel_map_streamed`]): items
-//! run in parallel and their outcomes are delivered **as they finish**, with
-//! per-item errors reported in place rather than aborting the batch. Three
-//! consumption styles layer on top of that single path:
+//! [`Estimator`] is the centre of the public API. A single request runs
+//! through [`Estimator::estimate`]; every multi-item consumer — declared
+//! sweeps, the figure harness, the qubit/runtime frontier's cap sweeps, and
+//! the CLI's chunked and sharded sweep writers — runs a [`SweepSpec`]
+//! through one path: the spec's per-sweep tables are resolved once, and its
+//! items are decoded from their row-major index on the workers of the one
+//! streamed core ([`qre_par::parallel_map_streamed_until`]), so no expanded
+//! item list ever exists and a shard costs only its own block. Outcomes are
+//! delivered **as they finish**, with per-item errors reported in place
+//! rather than aborting the sweep. Three consumption styles layer on top of
+//! that single path:
 //!
-//! * collecting — [`Estimator::estimate_batch`] / [`Estimator::sweep`]
-//!   stitch streamed outcomes back into input (expansion) order,
-//! * observer callbacks — [`Estimator::estimate_batch_with`] /
-//!   [`Estimator::sweep_with`] / [`Estimator::frontier_with`] hand each
-//!   outcome to a closure in completion order (progress bars, NDJSON),
-//! * iterators — [`Estimator::estimate_batch_stream`] /
-//!   [`Estimator::sweep_stream`] move execution to a background thread and
-//!   yield outcomes in completion order as an [`Iterator`].
+//! * collecting — [`Estimator::sweep`] puts streamed outcomes back into
+//!   row-major order,
+//! * observer callbacks — [`Estimator::sweep_with`] /
+//!   [`Estimator::frontier_with`] hand each outcome to a closure in
+//!   completion order (progress bars, NDJSON),
+//! * iterators — [`Estimator::sweep_stream`] moves execution to a
+//!   background thread and yields outcomes in completion order as an
+//!   [`Iterator`].
+//!
+//! Independent requests that do not share sweep axes run as
+//! `qre_par::parallel_map(&requests, |r| engine.estimate(r))`.
 //!
 //! The engine owns a [`FactoryCache`] (behind an [`Arc`], so streams and
 //! clones share it): the expensive distillation-pipeline search is memoized
 //! across every estimate the engine runs, so repeated scenarios (a profile
 //! sweep re-run, the frontier's dozens of re-estimates of one scenario,
-//! identical batch items) skip the search entirely.
+//! identical sweep items) skip the search entirely.
 //!
 //! ## Sharing, bounding, and persisting the cache
 //!
@@ -41,19 +48,19 @@
 //! See the [`FactoryCache`] docs for the scoping model and the snapshot
 //! format.
 
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::budget::PartitionSearch;
 use crate::cache::{CacheStats, FactoryCache};
 use crate::error::{Error, Result};
-use crate::estimate::PhysicalResourceEstimation;
 use crate::frontier::{frontier_searched_via, frontier_via, FrontierPoint};
-use crate::request::{EstimateRequest, SweepPoint, SweepSpec};
+use crate::request::{EstimateRequest, SweepItems, SweepPoint, SweepSpec};
 use crate::result::EstimationResult;
 
-/// A reusable estimation session: parallel batch/sweep execution over a
-/// shared memoized T-factory cache.
+/// A reusable estimation session: parallel sweep execution over a shared
+/// memoized T-factory cache.
 ///
 /// ```
 /// use qre_core::{Estimator, EstimateRequest, PhysicalQubit, QecSchemeKind};
@@ -83,19 +90,7 @@ pub struct Estimator {
     cache: Arc<FactoryCache>,
 }
 
-/// Outcome of one batch item, in input order.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Position of the request in the submitted slice.
-    pub index: usize,
-    /// The request's label.
-    pub label: String,
-    /// The item's result; failures are reported here without affecting
-    /// sibling items.
-    pub outcome: Result<EstimationResult>,
-}
-
-/// Outcome of one sweep item, in expansion (row-major) order.
+/// Outcome of one sweep item; `point.index` is its row-major position.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// The item's axis coordinates.
@@ -123,133 +118,75 @@ impl Estimator {
         request.estimation.estimate_with(&self.cache)
     }
 
-    /// Estimate many independent requests in parallel. Outcomes come back in
-    /// input order; a failing item reports its error in place.
-    /// ([`qre_par::parallel_map_indexed`] restores input order over the same
-    /// streamed core the `_with`/`_stream` variants use.)
-    pub fn estimate_batch(&self, requests: &[EstimateRequest]) -> Vec<BatchOutcome> {
-        qre_par::parallel_map_indexed(requests, |index, request| BatchOutcome {
-            index,
-            label: request.label.clone(),
-            outcome: self.estimate(request),
-        })
-    }
-
-    /// Streamed batch execution: estimate every request in parallel and hand
-    /// each [`BatchOutcome`] to `on_outcome` **in completion order** (the
-    /// outcome's `index` identifies the originating request). `on_outcome`
-    /// runs on the calling thread. This is the execution core
-    /// [`Estimator::estimate_batch`] collects from.
-    pub fn estimate_batch_with<F>(&self, requests: &[EstimateRequest], mut on_outcome: F)
-    where
-        F: FnMut(BatchOutcome),
-    {
-        qre_par::parallel_map_streamed(
-            requests,
-            |index, request| BatchOutcome {
-                index,
-                label: request.label.clone(),
-                outcome: self.estimate(request),
-            },
-            |_, outcome| on_outcome(outcome),
-        );
-    }
-
-    /// Expand a sweep's cartesian product and estimate every item in
-    /// parallel. Outcomes come back in expansion (row-major) order with
-    /// per-item errors in place; only an empty mandatory axis fails the
-    /// whole sweep.
+    /// Estimate every item of a sweep in parallel. Outcomes come back in
+    /// row-major order with per-item errors in place; only an empty
+    /// mandatory axis (or an item count that overflows) fails the whole
+    /// sweep. This is [`Estimator::sweep_with`] plus order restoration.
     pub fn sweep(&self, spec: &SweepSpec) -> Result<Vec<SweepOutcome>> {
-        let items = spec.expand()?;
-        Ok(qre_par::parallel_map(&items, |(point, estimation)| {
-            self.sweep_outcome(point, estimation)
-        }))
+        let mut outcomes = Vec::with_capacity(spec.len());
+        self.sweep_with(spec, |outcome| outcomes.push(outcome))?;
+        outcomes.sort_unstable_by_key(|o| o.point.index);
+        Ok(outcomes)
     }
 
-    /// Estimate one expanded sweep item (shared by the collecting, observer,
-    /// and iterator forms).
-    fn sweep_outcome(
-        &self,
-        point: &SweepPoint,
-        estimation: &Result<PhysicalResourceEstimation>,
-    ) -> SweepOutcome {
-        SweepOutcome {
-            point: point.clone(),
-            outcome: match estimation {
-                Ok(est) => est.estimate_with(&self.cache),
-                Err(e) => Err(e.clone()),
-            },
-        }
-    }
-
-    /// Streamed sweep execution: expand the cartesian product, estimate
-    /// every item in parallel, and hand each [`SweepOutcome`] to
-    /// `on_outcome` **in completion order** (the outcome's `point.index`
-    /// identifies its position in the expansion). Returns the number of
-    /// expanded items; only an empty mandatory axis fails the whole sweep.
-    /// This is the execution core [`Estimator::sweep`] collects from.
+    /// Streamed sweep execution: estimate every item in parallel and hand
+    /// each [`SweepOutcome`] to `on_outcome` **in completion order** (the
+    /// outcome's `point.index` identifies its row-major position). Returns
+    /// the number of items; only an empty mandatory axis (or an item count
+    /// that overflows) fails the whole sweep, before any item runs.
     pub fn sweep_with<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
     where
         F: FnMut(SweepOutcome),
     {
-        let items = spec.expand()?;
-        let total = items.len();
-        qre_par::parallel_map_streamed(
-            &items,
-            |_, (point, estimation)| self.sweep_outcome(point, estimation),
-            |_, outcome| on_outcome(outcome),
-        );
-        Ok(total)
+        let items = spec.items()?;
+        self.run_items(&items, |outcome| {
+            on_outcome(outcome);
+            ControlFlow::Continue(())
+        });
+        Ok(items.range.len())
     }
 
-    /// Streamed batch execution as an [`Iterator`]: takes ownership of the
-    /// requests, runs them on a background thread sharing this engine's
-    /// factory cache, and yields outcomes in completion order.
+    /// Streamed sweep execution as an [`Iterator`]: resolves the spec now
+    /// (axis errors surface immediately), runs its items on a background
+    /// thread sharing this engine's factory cache, and yields outcomes in
+    /// completion order.
     ///
     /// Dropping the stream early cancels the run: undelivered outcomes are
     /// discarded, no further items start, and the drop blocks only until
     /// the in-flight items finish. A panicking item re-raises on the
     /// consumer at the `next()` that observes the end of the stream.
-    pub fn estimate_batch_stream(&self, requests: Vec<EstimateRequest>) -> BatchStream {
+    pub fn sweep_stream(&self, spec: &SweepSpec) -> Result<SweepStream> {
+        let items = spec.items()?.into_owned();
         let cache = Arc::clone(&self.cache);
-        OutcomeStream::spawn(requests.len(), move |sender| {
-            let engine = Estimator::with_cache(cache);
-            qre_par::parallel_map_streamed_until(
-                &requests,
-                |index, request| BatchOutcome {
-                    index,
-                    label: request.label.clone(),
-                    outcome: engine.estimate(request),
-                },
-                // A dropped receiver is the consumer hanging up: stop
-                // claiming new items and wind down.
-                |_, outcome| match sender.send(outcome) {
-                    Ok(()) => std::ops::ControlFlow::Continue(()),
-                    Err(_) => std::ops::ControlFlow::Break(()),
-                },
-            );
-        })
+        Ok(SweepStream::spawn(items.range.len(), move |sender| {
+            // A dropped receiver is the consumer hanging up: stop claiming
+            // new items and wind down.
+            Estimator::with_cache(cache).run_items(&items, |outcome| match sender.send(outcome) {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(_) => ControlFlow::Break(()),
+            });
+        }))
     }
 
-    /// Streamed sweep execution as an [`Iterator`]: expands the spec now
-    /// (axis errors surface immediately), runs the items on a background
-    /// thread sharing this engine's factory cache, and yields outcomes in
-    /// completion order. See [`Estimator::estimate_batch_stream`] for drop
-    /// and panic semantics.
-    pub fn sweep_stream(&self, spec: &SweepSpec) -> Result<SweepStream> {
-        let items = spec.expand()?;
-        let cache = Arc::clone(&self.cache);
-        Ok(OutcomeStream::spawn(items.len(), move |sender| {
-            let engine = Estimator::with_cache(cache);
-            qre_par::parallel_map_streamed_until(
-                &items,
-                |_, (point, estimation)| engine.sweep_outcome(point, estimation),
-                |_, outcome| match sender.send(outcome) {
-                    Ok(()) => std::ops::ControlFlow::Continue(()),
-                    Err(_) => std::ops::ControlFlow::Break(()),
-                },
-            );
-        }))
+    /// The one multi-item execution path: decode and estimate every item of
+    /// `items`' range on the parallel workers, handing outcomes to
+    /// `on_outcome` in completion order until it breaks.
+    fn run_items<G>(&self, items: &SweepItems<'_>, mut on_outcome: G)
+    where
+        G: FnMut(SweepOutcome) -> ControlFlow<()>,
+    {
+        let range = items.range.clone();
+        qre_par::parallel_map_streamed_until(
+            range.len(),
+            |offset| {
+                let (point, estimation) = items.item(range.start + offset);
+                SweepOutcome {
+                    point,
+                    outcome: estimation.and_then(|est| est.estimate_with(&self.cache)),
+                }
+            },
+            |_, outcome| on_outcome(outcome),
+        );
     }
 
     /// Explore the qubit/runtime frontier of one request through the shared
@@ -345,31 +282,24 @@ impl Estimator {
     }
 }
 
-/// Iterator over outcomes of a streamed batch or sweep, yielding items in
+/// Iterator over the outcomes of a streamed sweep, yielding items in
 /// completion order from a background execution thread.
 ///
-/// Produced by [`Estimator::estimate_batch_stream`] and
-/// [`Estimator::sweep_stream`]. Each yielded outcome carries its original
-/// batch index / [`SweepPoint`], so consumers can attribute results without
-/// assuming input order. The background thread is joined when the stream is
+/// Produced by [`Estimator::sweep_stream`]. Each yielded outcome carries its
+/// [`SweepPoint`], so consumers can attribute results without assuming
+/// row-major order. The background thread is joined when the stream is
 /// exhausted or dropped; a panic raised by an item propagates to the
 /// consumer at that join.
 #[derive(Debug)]
-pub struct OutcomeStream<O> {
+pub struct SweepStream {
     /// `Some` until the stream ends or is dropped; dropping the receiver is
     /// the hang-up signal that stops the background run early.
-    receiver: Option<mpsc::Receiver<O>>,
+    receiver: Option<mpsc::Receiver<SweepOutcome>>,
     worker: Option<std::thread::JoinHandle<()>>,
     total: usize,
-    delivered: usize,
 }
 
-/// Completion-order iterator over [`BatchOutcome`]s.
-pub type BatchStream = OutcomeStream<BatchOutcome>;
-/// Completion-order iterator over [`SweepOutcome`]s.
-pub type SweepStream = OutcomeStream<SweepOutcome>;
-
-impl<O: Send + 'static> OutcomeStream<O> {
+impl SweepStream {
     /// Run `work` on a background thread feeding this stream's channel. The
     /// nested-parallelism guard of the calling thread is replayed on the
     /// background thread, so a stream opened from inside a parallel worker
@@ -378,10 +308,10 @@ impl<O: Send + 'static> OutcomeStream<O> {
     /// The channel is bounded (at [`qre_par::streamed_buffer_bound`] for the
     /// run's worker count): a consumer that stops pulling — a serve session
     /// writing to a slow client — blocks the background execution instead
-    /// of letting it buffer the whole batch's outcomes in memory.
+    /// of letting it buffer the whole sweep's outcomes in memory.
     fn spawn<W>(total: usize, work: W) -> Self
     where
-        W: FnOnce(mpsc::SyncSender<O>) + Send + 'static,
+        W: FnOnce(mpsc::SyncSender<SweepOutcome>) + Send + 'static,
     {
         let (sender, receiver) = mpsc::sync_channel(qre_par::streamed_buffer_bound(
             qre_par::max_threads().min(total.max(1)),
@@ -391,24 +321,16 @@ impl<O: Send + 'static> OutcomeStream<O> {
             qre_par::set_in_parallel_worker(in_worker);
             work(sender);
         });
-        OutcomeStream {
+        SweepStream {
             receiver: Some(receiver),
             worker: Some(worker),
             total,
-            delivered: 0,
         }
     }
-}
 
-impl<O> OutcomeStream<O> {
-    /// Total number of items the underlying batch/sweep executes.
+    /// Total number of items the underlying sweep executes.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Number of outcomes yielded so far.
-    pub fn delivered(&self) -> usize {
-        self.delivered
     }
 
     /// Join the background thread, re-raising a worker panic.
@@ -421,32 +343,22 @@ impl<O> OutcomeStream<O> {
     }
 }
 
-impl<O> Iterator for OutcomeStream<O> {
-    type Item = O;
+impl Iterator for SweepStream {
+    type Item = SweepOutcome;
 
-    fn next(&mut self) -> Option<O> {
-        match self.receiver.as_ref().and_then(|r| r.recv().ok()) {
-            Some(outcome) => {
-                self.delivered += 1;
-                Some(outcome)
-            }
-            None => {
-                // Channel closed: execution finished (or panicked — the join
-                // re-raises the payload here).
-                self.receiver = None;
-                self.join_worker();
-                None
-            }
+    fn next(&mut self) -> Option<SweepOutcome> {
+        let outcome = self.receiver.as_ref().and_then(|r| r.recv().ok());
+        if outcome.is_none() {
+            // Channel closed: execution finished (or panicked — the join
+            // re-raises the payload here).
+            self.receiver = None;
+            self.join_worker();
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.total.saturating_sub(self.delivered);
-        (0, Some(remaining))
+        outcome
     }
 }
 
-impl<O> Drop for OutcomeStream<O> {
+impl Drop for SweepStream {
     fn drop(&mut self) {
         // Hang up first: the background run sees the closed channel, stops
         // claiming items, and winds down after only the in-flight ones.
@@ -492,24 +404,10 @@ pub fn merge_indexed<T>(
     Ok(merged)
 }
 
-/// Split batch outcomes into ordered successes, keeping the first error
-/// together with the index of the item that produced it.
-///
-/// Convenience for callers that want all-or-nothing semantics on top of the
-/// in-place error reporting; the index identifies the failing request for
-/// every error kind, not just message-bearing ones.
-pub fn collect_results(
-    outcomes: Vec<BatchOutcome>,
-) -> std::result::Result<Vec<EstimationResult>, (usize, Error)> {
-    outcomes
-        .into_iter()
-        .map(|o| o.outcome.map_err(|e| (o.index, e)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::Constraints;
     use crate::physical_qubit::PhysicalQubit;
     use crate::qec::QecSchemeKind;
     use crate::request::SweepSpec;
@@ -535,36 +433,51 @@ mod tests {
             .unwrap()
     }
 
+    /// A job array as a sweep: one workload per T count, every other axis
+    /// fixed to [`request`]'s values, so item `i` is `request(ts[i])`.
+    fn workloads(ts: impl IntoIterator<Item = u64>) -> SweepSpec {
+        SweepSpec::new()
+            .workloads(ts.into_iter().map(|t| (format!("t={t}"), counts(t))))
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .total_error_budget(1e-3)
+    }
+
     #[test]
     fn batch_outcomes_preserve_input_order() {
-        let requests: Vec<EstimateRequest> = (1..=16).map(|i| request(i * 1_000)).collect();
+        let spec = workloads((1..=16).map(|i| i * 1_000));
         let engine = Estimator::new();
-        let outcomes = engine.estimate_batch(&requests);
+        let outcomes = engine.sweep(&spec).unwrap();
         assert_eq!(outcomes.len(), 16);
         for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.index, i);
-            assert_eq!(o.label, format!("t={}", (i + 1) * 1_000));
-            let expected = requests[i].estimation.estimate().unwrap();
+            let t = (i as u64 + 1) * 1_000;
+            assert_eq!(o.point.index, i);
+            assert_eq!(o.point.workload, format!("t={t}"));
+            let expected = request(t).estimation.estimate().unwrap();
             assert_eq!(*o.outcome.as_ref().unwrap(), expected);
         }
     }
 
     #[test]
     fn batch_reports_errors_in_place() {
-        let mut bad = request(1_000);
-        bad.estimation.constraints.max_duration_ns = Some(1.0);
-        let requests = vec![request(1_000), bad, request(2_000)];
-        let engine = Estimator::new();
-        let outcomes = engine.estimate_batch(&requests);
+        let impossible = Constraints {
+            max_duration_ns: Some(1.0),
+            ..Constraints::default()
+        };
+        let spec = workloads([1_000]).constraint_axis([
+            Constraints::default(),
+            impossible,
+            Constraints::default(),
+        ]);
+        let outcomes = Estimator::new().sweep(&spec).unwrap();
+        assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].outcome.is_ok());
+        assert_eq!(outcomes[1].point.constraints, impossible);
         assert!(matches!(
             outcomes[1].outcome,
             Err(Error::ConstraintViolated(_))
         ));
         assert!(outcomes[2].outcome.is_ok());
-        let (index, err) = collect_results(outcomes).unwrap_err();
-        assert_eq!(index, 1);
-        assert!(matches!(err, Error::ConstraintViolated(_)));
     }
 
     #[test]
@@ -589,21 +502,22 @@ mod tests {
 
     #[test]
     fn batch_observer_sees_every_outcome_exactly_once() {
-        let requests: Vec<EstimateRequest> = (1..=12).map(|i| request(i * 2_000)).collect();
+        let spec = workloads((1..=12).map(|i| i * 2_000));
         let engine = Estimator::new();
-        let mut streamed: Vec<BatchOutcome> = Vec::new();
-        engine.estimate_batch_with(&requests, |o| streamed.push(o));
-        assert_eq!(streamed.len(), requests.len());
-        let mut indices: Vec<usize> = streamed.iter().map(|o| o.index).collect();
+        let mut streamed: Vec<SweepOutcome> = Vec::new();
+        let total = engine.sweep_with(&spec, |o| streamed.push(o)).unwrap();
+        assert_eq!(total, 12);
+        assert_eq!(streamed.len(), total);
+        let mut indices: Vec<usize> = streamed.iter().map(|o| o.point.index).collect();
         indices.sort_unstable();
-        assert_eq!(indices, (0..requests.len()).collect::<Vec<_>>());
+        assert_eq!(indices, (0..total).collect::<Vec<_>>());
         // Each streamed outcome is bit-identical to the collecting API's.
-        let collected = engine.estimate_batch(&requests);
+        let collected = engine.sweep(&spec).unwrap();
         for o in &streamed {
-            assert_eq!(o.label, collected[o.index].label);
+            assert_eq!(o.point.workload, collected[o.point.index].point.workload);
             assert_eq!(
                 o.outcome.as_ref().unwrap(),
-                collected[o.index].outcome.as_ref().unwrap()
+                collected[o.point.index].outcome.as_ref().unwrap()
             );
         }
     }
@@ -637,11 +551,11 @@ mod tests {
 
     #[test]
     fn batch_stream_yields_all_indices() {
-        let requests: Vec<EstimateRequest> = (1..=8).map(|i| request(i * 3_000)).collect();
-        let engine = Estimator::new();
-        let stream = engine.estimate_batch_stream(requests.clone());
+        let stream = Estimator::new()
+            .sweep_stream(&workloads((1..=8).map(|i| i * 3_000)))
+            .unwrap();
         assert_eq!(stream.total(), 8);
-        let mut indices: Vec<usize> = stream.map(|o| o.index).collect();
+        let mut indices: Vec<usize> = stream.map(|o| o.point.index).collect();
         indices.sort_unstable();
         assert_eq!(indices, (0..8).collect::<Vec<_>>());
     }
@@ -649,8 +563,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream worker boom")]
     fn stream_worker_panic_propagates_to_consumer() {
-        let stream: OutcomeStream<u32> = OutcomeStream::spawn(2, |sender| {
-            sender.send(1).unwrap();
+        let (point, _) = workloads([1_000]).items().unwrap().item(0);
+        let stream = SweepStream::spawn(2, |sender| {
+            sender
+                .send(SweepOutcome {
+                    point,
+                    outcome: Err(Error::InvalidInput("unused".into())),
+                })
+                .unwrap();
             panic!("stream worker boom");
         });
         // The delivered item arrives; the panic re-raises at the `next()`

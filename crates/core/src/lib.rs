@@ -20,16 +20,16 @@
 //!
 //! The centre of the API is the [`Estimator`] engine: it owns a memoized
 //! T-factory design cache and executes single requests
-//! ([`Estimator::estimate`]), job arrays ([`Estimator::estimate_batch`]),
-//! declared cartesian sweeps ([`Estimator::sweep`] over a [`SweepSpec`]),
-//! and trade-off frontiers ([`Estimator::frontier`]) — batches run in
-//! parallel with order-preserving, per-item outcomes. Every batch API also
-//! has a *streamed* form delivering outcomes in completion order: observer
-//! callbacks ([`Estimator::estimate_batch_with`], [`Estimator::sweep_with`],
-//! [`Estimator::frontier_with`]) and background-thread iterators
-//! ([`Estimator::estimate_batch_stream`], [`Estimator::sweep_stream`]).
-//! A single estimate is an [`EstimateRequest`] run by
-//! [`Estimator::estimate`] (see the [`Estimator`] example).
+//! ([`Estimator::estimate`]), declared cartesian sweeps ([`Estimator::sweep`]
+//! over a [`SweepSpec`]), and trade-off frontiers ([`Estimator::frontier`]).
+//! A sweep is the engine's one multi-item path: its items are decoded from
+//! their row-major index on the parallel workers, with order-preserving,
+//! per-item outcomes. Sweeps also have *streamed* forms delivering outcomes
+//! in completion order: observer callbacks ([`Estimator::sweep_with`],
+//! [`Estimator::frontier_with`]) and a background-thread iterator
+//! ([`Estimator::sweep_stream`]). A single estimate is an
+//! [`EstimateRequest`] run by [`Estimator::estimate`] (see the [`Estimator`]
+//! example).
 //!
 //! The engine's memoized T-factory design store ([`FactoryCache`]) can be
 //! shared process-wide ([`FactoryCache::scoped`] views with exact per-scope
@@ -57,10 +57,7 @@ mod tfactory;
 
 pub use budget::{ErrorBudget, PartitionSearch};
 pub use cache::{CacheStats, FactoryCache, SearchCounters, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
-pub use engine::{
-    collect_results, merge_indexed, BatchOutcome, BatchStream, Estimator, OutcomeStream,
-    SweepOutcome, SweepStream,
-};
+pub use engine::{merge_indexed, Estimator, SweepOutcome, SweepStream};
 pub use error::{Error, Result};
 pub use estimate::{Constraints, PhysicalResourceEstimation};
 pub use frontier::FrontierPoint;

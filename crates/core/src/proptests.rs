@@ -8,7 +8,7 @@ use crate::engine::{merge_indexed, Estimator};
 use crate::estimate::{Constraints, PhysicalResourceEstimation};
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{QecScheme, QecSchemeKind};
-use crate::request::{EstimateRequest, SweepSpec};
+use crate::request::{validated_budget, EstimateRequest, SweepPoint, SweepScheme, SweepSpec};
 use crate::tfactory::{
     default_distillation_units, DistillationUnit, LogicalUnitSpec, PhysicalUnitSpec,
     TFactoryBuilder,
@@ -470,6 +470,145 @@ proptest! {
             prop_assert_eq!(&m.outcome, &f.outcome);
         }
     }
+}
+
+proptest! {
+    // Decoding never estimates, so cases are cheap.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Index decoding is item-for-item the row-major nested loop: for every
+    /// shard of arbitrary axes — empty optional axes, incompatible
+    /// profile/scheme pairs and invalid budgets included — the decoded items
+    /// carry the reference loop's index, coordinates, and assembled
+    /// estimation inputs (or the same error).
+    #[test]
+    fn decoded_sweep_items_equal_the_nested_loop(
+        spec in arb_decodable_spec(),
+        shard_count in 1usize..6,
+        shard_pick in 0usize..6,
+    ) {
+        let reference = nested_loop_items(&spec);
+        let shard = spec.shard_of(shard_pick % shard_count, shard_count).unwrap();
+        let items = shard.items().unwrap();
+        let range = items.range.clone();
+        prop_assert_eq!(range.len(), shard.len());
+        for index in range.clone() {
+            let (point, estimation) = items.item(index);
+            let (want_point, want_estimation) = &reference[index];
+            prop_assert_eq!(point.index, want_point.index);
+            prop_assert_eq!(&point.workload, &want_point.workload);
+            prop_assert_eq!(&point.profile, &want_point.profile);
+            prop_assert_eq!(&point.scheme, &want_point.scheme);
+            for (a, b) in [
+                (point.budget.logical, want_point.budget.logical),
+                (point.budget.t_states, want_point.budget.t_states),
+                (point.budget.rotations, want_point.budget.rotations),
+            ] {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(point.constraints, want_point.constraints);
+            match (&estimation, want_estimation) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(false, "decoded {a:?}, reference {b:?}"),
+            }
+        }
+    }
+}
+
+/// The reference expansion: every item of the full product, built by the
+/// row-major nested loop (workloads outermost, constraints innermost) with
+/// per-item scheme resolution and budget validation.
+fn nested_loop_items(
+    spec: &SweepSpec,
+) -> Vec<(SweepPoint, crate::Result<PhysicalResourceEstimation>)> {
+    let schemes = if spec.schemes.is_empty() {
+        vec![SweepScheme::ProfileDefault]
+    } else {
+        spec.schemes.clone()
+    };
+    let budgets = if spec.budgets.is_empty() {
+        vec![ErrorBudget {
+            logical: 1e-3 / 3.0,
+            t_states: 1e-3 / 3.0,
+            rotations: 1e-3 / 3.0,
+        }]
+    } else {
+        spec.budgets.clone()
+    };
+    let constraints = if spec.constraints.is_empty() {
+        vec![Constraints::default()]
+    } else {
+        spec.constraints.clone()
+    };
+    let mut items = Vec::new();
+    for (workload, counts) in &spec.workloads {
+        for qubit in &spec.profiles {
+            for scheme_axis in &schemes {
+                for budget in &budgets {
+                    for constraint in &constraints {
+                        let resolved = qubit.validate().and_then(|()| scheme_axis.resolve(qubit));
+                        let point = SweepPoint {
+                            index: items.len(),
+                            workload: workload.clone(),
+                            profile: qubit.name.clone(),
+                            scheme: match &resolved {
+                                Ok(scheme) => scheme.name.clone(),
+                                Err(_) => scheme_axis.label(),
+                            },
+                            budget: *budget,
+                            constraints: *constraint,
+                        };
+                        let estimation = resolved.and_then(|scheme| {
+                            Ok(PhysicalResourceEstimation {
+                                counts: *counts,
+                                qubit: qubit.clone(),
+                                scheme,
+                                budget: validated_budget(budget)?,
+                                constraints: *constraint,
+                                factory_builder: spec.factory_builder.clone(),
+                            })
+                        });
+                        items.push((point, estimation));
+                    }
+                }
+            }
+        }
+    }
+    items
+}
+
+/// [`arb_sweep_spec`] widened with the axes decoding must get right: an
+/// optional scheme axis (empty, incompatible with gate-based profiles, or
+/// mixed), an emptied or invalid-extended budget axis, and an optional
+/// constraint axis.
+fn arb_decodable_spec() -> impl Strategy<Value = SweepSpec> {
+    (arb_sweep_spec(), 0usize..4, 0usize..3, 0usize..4).prop_map(
+        |(mut spec, schemes, budgets, constraints)| {
+            spec.schemes = match schemes {
+                0 => vec![],
+                1 => vec![SweepScheme::Kind(QecSchemeKind::FloquetCode)],
+                2 => vec![
+                    SweepScheme::Kind(QecSchemeKind::SurfaceCode),
+                    SweepScheme::ProfileDefault,
+                    SweepScheme::Kind(QecSchemeKind::FloquetCode),
+                ],
+                _ => vec![SweepScheme::Custom(QecScheme::surface_code_gate_based())],
+            };
+            match budgets {
+                0 => spec.budgets.clear(),
+                1 => spec = spec.total_error_budget(-1.0).total_error_budget(1e-3),
+                _ => {}
+            }
+            spec.constraints = (0..constraints as u64)
+                .map(|cap| Constraints {
+                    max_t_factories: Some(cap + 1),
+                    ..Constraints::default()
+                })
+                .collect();
+            spec
+        },
+    )
 }
 
 /// One random distillation unit: integer-coefficient formulas in the paper's

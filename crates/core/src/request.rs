@@ -12,8 +12,9 @@
 //!   [`EstimateRequestBuilder`],
 //! * [`SweepSpec`] — declared axes (workloads × hardware profiles × QEC
 //!   schemes × error budgets × constraints) whose cartesian product the
-//!   engine expands in deterministic row-major order,
-//! * [`SweepPoint`] — the coordinates of one expanded sweep item, carried
+//!   engine runs in deterministic row-major order, decoding each item from
+//!   its index instead of materialising the product,
+//! * [`SweepPoint`] — the coordinates of one sweep item, carried
 //!   alongside its outcome so callers can attribute results without
 //!   re-deriving the expansion order.
 
@@ -24,11 +25,13 @@ use crate::physical_qubit::{InstructionSet, PhysicalQubit};
 use crate::qec::{QecScheme, QecSchemeKind};
 use crate::tfactory::{DistillationUnit, TFactoryBuilder};
 use qre_circuit::LogicalCounts;
+use std::borrow::Cow;
 
 /// One fully resolved estimation scenario.
 #[derive(Debug, Clone)]
 pub struct EstimateRequest {
-    /// Free-form label echoed into batch outcomes (may be empty).
+    /// Free-form label for the caller's bookkeeping (may be empty);
+    /// estimation ignores it.
     pub label: String,
     /// The assembled estimation task.
     pub estimation: PhysicalResourceEstimation,
@@ -83,7 +86,7 @@ pub struct EstimateRequestBuilder {
 }
 
 impl EstimateRequestBuilder {
-    /// Label echoed into batch outcomes.
+    /// Free-form label for the caller's bookkeeping.
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
@@ -237,7 +240,7 @@ pub enum SweepScheme {
 impl SweepScheme {
     /// Resolve against a profile; errors (e.g. floquet on gate-based
     /// hardware) surface as the affected sweep item's outcome.
-    fn resolve(&self, qubit: &PhysicalQubit) -> Result<QecScheme> {
+    pub(crate) fn resolve(&self, qubit: &PhysicalQubit) -> Result<QecScheme> {
         match self {
             SweepScheme::ProfileDefault => {
                 let kind = match qubit.instruction_set {
@@ -252,7 +255,7 @@ impl SweepScheme {
     }
 
     /// Axis label used in [`SweepPoint`] when resolution fails.
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             SweepScheme::ProfileDefault => "default".into(),
             SweepScheme::Kind(QecSchemeKind::SurfaceCode) => "surface_code".into(),
@@ -305,7 +308,7 @@ impl Shard {
     }
 }
 
-/// Declared axes of a sweep; the engine expands the cartesian product
+/// Declared axes of a sweep; the engine runs the cartesian product
 /// workloads × profiles × schemes × budgets × constraints in row-major
 /// order (workloads outermost, constraints innermost).
 ///
@@ -432,9 +435,9 @@ impl SweepSpec {
     }
 
     /// Append a total error budget (split in thirds). Invalid totals surface
-    /// as [`Error::InvalidInput`] when the sweep expands.
+    /// as [`Error::InvalidInput`] on the affected sweep items.
     pub fn total_error_budget(mut self, total: f64) -> Self {
-        // Defer validation to expansion so the fluent chain stays infallible;
+        // Defer validation to the sweep run so the fluent chain stays infallible;
         // encode the pending total as an even split.
         self.budgets.push(ErrorBudget {
             logical: total / 3.0,
@@ -526,7 +529,7 @@ impl SweepSpec {
             })
     }
 
-    /// The expanded item indices this spec executes: the shard's block when
+    /// The global item indices this spec executes: the shard's block when
     /// sharded, the whole product otherwise.
     fn item_range(&self) -> Result<std::ops::Range<usize>> {
         let total = self.total_len()?;
@@ -541,13 +544,12 @@ impl SweepSpec {
         self.len() == 0
     }
 
-    /// Expand the cartesian product into per-item coordinates and assembled
-    /// estimation tasks. Item-level assembly failures (e.g. an incompatible
-    /// scheme/profile pairing) are reported in place; only an empty
-    /// mandatory axis fails the whole expansion. A sharded spec expands only
-    /// its own contiguous block, with every [`SweepPoint`] keeping the index
-    /// it has in the full (unsharded) expansion.
-    pub(crate) fn expand(&self) -> Result<Vec<(SweepPoint, Result<PhysicalResourceEstimation>)>> {
+    /// Resolve this spec for O(1) index decoding ([`SweepItems::item`]):
+    /// scheme resolution per (profile, scheme) pair and validation per
+    /// budget run once here. Only an empty mandatory axis or an overflowing
+    /// product fails the whole sweep; item-level failures are reported in
+    /// place by the decoded item.
+    pub(crate) fn items(&self) -> Result<SweepItems<'_>> {
         if self.workloads.is_empty() {
             return Err(Error::InvalidInput(
                 "sweep needs at least one workload".into(),
@@ -558,79 +560,112 @@ impl SweepSpec {
                 "sweep needs at least one hardware profile".into(),
             ));
         }
-        let default_schemes = [SweepScheme::ProfileDefault];
-        let schemes: &[SweepScheme] = if self.schemes.is_empty() {
-            &default_schemes
-        } else {
-            &self.schemes
-        };
-        let default_budgets = [ErrorBudget {
-            logical: 1e-3 / 3.0,
-            t_states: 1e-3 / 3.0,
-            rotations: 1e-3 / 3.0,
-        }];
-        let budgets: &[ErrorBudget] = if self.budgets.is_empty() {
-            &default_budgets
-        } else {
-            &self.budgets
-        };
-        let default_constraints = [Constraints::default()];
-        let constraints: &[Constraints] = if self.constraints.is_empty() {
-            &default_constraints
-        } else {
-            &self.constraints
-        };
-
         let range = self.item_range()?;
-        let mut next_index = 0usize;
-        let mut items = Vec::with_capacity(range.len());
-        for (workload, counts) in &self.workloads {
-            for qubit in &self.profiles {
-                for scheme_axis in schemes {
-                    let resolved = qubit.validate().and_then(|()| scheme_axis.resolve(qubit));
-                    for budget in budgets {
-                        for constraint in constraints {
-                            let index = next_index;
-                            next_index += 1;
-                            if !range.contains(&index) {
-                                continue;
-                            }
-                            let point = SweepPoint {
-                                index,
-                                workload: workload.clone(),
-                                profile: qubit.name.clone(),
-                                scheme: resolved
-                                    .as_ref()
-                                    .map(|s| s.name.clone())
-                                    .unwrap_or_else(|_| scheme_axis.label()),
-                                budget: *budget,
-                                constraints: *constraint,
-                            };
-                            let estimation = resolved
-                                .clone()
-                                .and_then(|scheme| validated_budget(budget).map(|b| (scheme, b)))
-                                .map(|(scheme, budget)| PhysicalResourceEstimation {
-                                    counts: *counts,
-                                    qubit: qubit.clone(),
-                                    scheme,
-                                    budget,
-                                    constraints: *constraint,
-                                    factory_builder: self.factory_builder.clone(),
-                                });
-                            items.push((point, estimation));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(items)
+        let default_scheme = [SweepScheme::ProfileDefault];
+        let scheme_axis = match self.schemes.as_slice() {
+            [] => &default_scheme,
+            axis => axis,
+        };
+        let schemes = self
+            .profiles
+            .iter()
+            .flat_map(|qubit| scheme_axis.iter().map(move |axis| (qubit, axis)))
+            .map(|(qubit, axis)| {
+                let resolved = qubit.validate().and_then(|()| axis.resolve(qubit));
+                let label = resolved
+                    .as_ref()
+                    .map_or_else(|_| axis.label(), |s| s.name.clone());
+                (label, resolved)
+            })
+            .collect();
+        let default_budget = [ErrorBudget::from_total(1e-3)?];
+        let budget_axis = match self.budgets.as_slice() {
+            [] => &default_budget,
+            axis => axis,
+        };
+        Ok(SweepItems {
+            spec: Cow::Borrowed(self),
+            schemes,
+            scheme_count: scheme_axis.len(),
+            budgets: budget_axis
+                .iter()
+                .map(|b| (*b, validated_budget(b)))
+                .collect(),
+            range,
+        })
     }
 }
 
-/// Re-validate a budget at expansion time (fluent setters defer validation).
+/// A [`SweepSpec`] resolved for decoding: item `i` of the row-major product
+/// (workloads outermost, constraints innermost) is decoded by mixed radix
+/// over the axis lengths, so a shard touches only its own indices plus
+/// these per-sweep tables.
+#[derive(Debug)]
+pub(crate) struct SweepItems<'a> {
+    spec: Cow<'a, SweepSpec>,
+    /// `(point label, resolved scheme)` per (profile, scheme) pair.
+    schemes: Vec<(String, Result<QecScheme>)>,
+    scheme_count: usize,
+    /// The budget axis (default applied), each value with its validation.
+    budgets: Vec<(ErrorBudget, Result<ErrorBudget>)>,
+    /// The global item indices this spec executes (its shard's block).
+    pub(crate) range: std::ops::Range<usize>,
+}
+
+impl SweepItems<'_> {
+    /// Detach from the borrowed spec, for execution off the calling thread.
+    pub(crate) fn into_owned(self) -> SweepItems<'static> {
+        SweepItems {
+            spec: Cow::Owned(self.spec.into_owned()),
+            schemes: self.schemes,
+            scheme_count: self.scheme_count,
+            budgets: self.budgets,
+            range: self.range,
+        }
+    }
+
+    /// Decode global item `index` into its coordinates and assembled
+    /// estimation task. A failed scheme resolution takes precedence over an
+    /// invalid budget.
+    pub(crate) fn item(&self, index: usize) -> (SweepPoint, Result<PhysicalResourceEstimation>) {
+        let spec = &*self.spec;
+        let constraint_count = spec.constraints.len().max(1);
+        let (rest, c) = (index / constraint_count, index % constraint_count);
+        let (rest, b) = (rest / self.budgets.len(), rest % self.budgets.len());
+        let (rest, s) = (rest / self.scheme_count, rest % self.scheme_count);
+        let (w, p) = (rest / spec.profiles.len(), rest % spec.profiles.len());
+        let (workload, counts) = &spec.workloads[w];
+        let qubit = &spec.profiles[p];
+        let (scheme_label, resolved) = &self.schemes[p * self.scheme_count + s];
+        let (budget, validated) = &self.budgets[b];
+        // An empty constraint axis is the single unconstrained value.
+        let constraints = spec.constraints.get(c).copied().unwrap_or_default();
+        let point = SweepPoint {
+            index,
+            workload: workload.clone(),
+            profile: qubit.name.clone(),
+            scheme: scheme_label.clone(),
+            budget: *budget,
+            constraints,
+        };
+        let estimation = resolved.clone().and_then(|scheme| {
+            Ok(PhysicalResourceEstimation {
+                counts: *counts,
+                qubit: qubit.clone(),
+                scheme,
+                budget: validated.clone()?,
+                constraints,
+                factory_builder: spec.factory_builder.clone(),
+            })
+        });
+        (point, estimation)
+    }
+}
+
+/// Re-validate a sweep budget (fluent setters defer validation).
 /// The total is checked first so a bad [`SweepSpec::total_error_budget`]
 /// value is reported as the total the caller passed, not as a derived part.
-fn validated_budget(budget: &ErrorBudget) -> Result<ErrorBudget> {
+pub(crate) fn validated_budget(budget: &ErrorBudget) -> Result<ErrorBudget> {
     let total = budget.total();
     if !(total.is_finite() && total > 0.0 && total < 1.0) {
         return Err(Error::InvalidInput(format!(
@@ -661,6 +696,12 @@ pub struct SweepPoint {
 mod tests {
     use super::*;
 
+    /// Every item this spec executes, decoded in index order.
+    fn decode(spec: &SweepSpec) -> Result<Vec<(SweepPoint, Result<PhysicalResourceEstimation>)>> {
+        spec.items()
+            .map(|items| items.range.clone().map(|i| items.item(i)).collect())
+    }
+
     fn counts() -> LogicalCounts {
         LogicalCounts {
             num_qubits: 32,
@@ -682,7 +723,7 @@ mod tests {
             .total_error_budget(1e-3)
             .total_error_budget(1e-4);
         assert_eq!(spec.len(), 8);
-        let items = spec.expand().unwrap();
+        let items = decode(&spec).unwrap();
         assert_eq!(items.len(), 8);
         // Workloads outermost, budgets inside profiles.
         assert_eq!(items[0].0.workload, "a");
@@ -706,7 +747,7 @@ mod tests {
             .workload("w", counts())
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .qec(QecSchemeKind::FloquetCode);
-        let items = spec.expand().unwrap();
+        let items = decode(&spec).unwrap();
         assert_eq!(items.len(), 1);
         assert!(items[0].1.is_err());
         assert_eq!(items[0].0.scheme, "floquet_code");
@@ -714,12 +755,9 @@ mod tests {
 
     #[test]
     fn empty_mandatory_axes_are_rejected() {
-        assert!(SweepSpec::new().expand().is_err());
-        assert!(SweepSpec::new().workload("w", counts()).expand().is_err());
-        assert!(SweepSpec::new()
-            .profile(PhysicalQubit::qubit_gate_ns_e3())
-            .expand()
-            .is_err());
+        assert!(decode(&SweepSpec::new()).is_err());
+        assert!(decode(&SweepSpec::new().workload("w", counts())).is_err());
+        assert!(decode(&SweepSpec::new().profile(PhysicalQubit::qubit_gate_ns_e3())).is_err());
     }
 
     #[test]
@@ -729,7 +767,7 @@ mod tests {
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .total_error_budget(1e-3)
             .total_error_budget(-1.0);
-        let items = spec.expand().unwrap();
+        let items = decode(&spec).unwrap();
         assert_eq!(items.len(), 2);
         assert!(items[0].1.is_ok());
         assert!(items[1].1.is_err());
@@ -774,7 +812,7 @@ mod tests {
     fn sharded_expansion_keeps_global_indices_and_unions_to_the_whole() {
         let spec = multi_axis_spec();
         assert_eq!(spec.total_len().unwrap(), 8);
-        let full = spec.expand().unwrap();
+        let full = decode(&spec).unwrap();
 
         let shards = spec.shard(3).unwrap();
         assert_eq!(shards.len(), 3);
@@ -785,7 +823,7 @@ mod tests {
         let mut union: Vec<(SweepPoint, _)> = Vec::new();
         for shard in &shards {
             assert_eq!(shard.total_len().unwrap(), 8, "total_len ignores the shard");
-            union.extend(shard.expand().unwrap());
+            union.extend(decode(shard).unwrap());
         }
         union.sort_by_key(|(p, _)| p.index);
         assert_eq!(union.len(), full.len());
@@ -807,7 +845,7 @@ mod tests {
         assert_eq!(shards[0].len(), 1);
         for shard in &shards[1..] {
             assert!(shard.is_empty());
-            assert!(shard.expand().unwrap().is_empty());
+            assert!(decode(shard).unwrap().is_empty());
         }
     }
 
@@ -844,14 +882,53 @@ mod tests {
         assert_eq!(message.matches("8000").count(), 5, "{message}");
         assert_eq!(spec.len(), 0);
         assert!(spec.is_empty());
-        assert!(spec.expand().is_err());
+        assert!(decode(&spec).is_err());
         let sharded = spec.clone().shard_of(1, 3).unwrap();
         assert_eq!(sharded.len(), 0);
-        assert!(sharded.expand().is_err());
+        assert!(decode(&sharded).is_err());
         let engine = crate::engine::Estimator::new();
         assert!(engine.sweep(&spec).is_err());
         assert!(engine.sweep_with(&spec, |_| {}).is_err());
         assert!(engine.sweep_stream(&spec).is_err());
+    }
+
+    #[test]
+    fn a_shard_of_a_huge_sweep_decodes_only_its_block() {
+        // 20k workloads × 1 profile × 10k budgets × 10k constraints = 2·10¹²
+        // items: the product fits in a usize, but walking it would not
+        // finish. A ten-item shard must cost ten items plus the tables.
+        const WORKLOADS: usize = 20_000;
+        const AXIS: usize = 10_000;
+        let spec =
+            SweepSpec::new()
+                .workloads((0..WORKLOADS).map(|i| (format!("w{i}"), counts())))
+                .profile(PhysicalQubit::qubit_gate_ns_e3())
+                .budgets((0..AXIS).map(|i| {
+                    ErrorBudget::from_total(1e-4 * (1.0 + i as f64 / AXIS as f64)).unwrap()
+                }))
+                .constraint_axis((0..AXIS).map(|i| Constraints {
+                    max_t_factories: Some(i as u64 + 1),
+                    ..Constraints::default()
+                }));
+        let total = spec.total_len().unwrap();
+        assert_eq!(total, WORKLOADS * AXIS * AXIS);
+        assert!(total > 1_000_000_000_000);
+
+        let count = total / 10;
+        let shard = spec.shard_of(count / 2 + 12_345, count).unwrap();
+        let range = shard.shard.unwrap().range(total);
+        assert_eq!(range.len(), 10);
+        let outcomes = crate::engine::Estimator::new().sweep(&shard).unwrap();
+        assert_eq!(outcomes.len(), 10);
+        for (o, index) in outcomes.iter().zip(range) {
+            assert_eq!(o.point.index, index);
+            let (w, b, c) = (index / (AXIS * AXIS), index / AXIS % AXIS, index % AXIS);
+            assert_eq!(o.point.workload, format!("w{w}"));
+            assert_eq!(o.point.constraints.max_t_factories, Some(c as u64 + 1));
+            let expected = 1e-4 * (1.0 + b as f64 / AXIS as f64);
+            assert!((o.point.budget.total() - expected).abs() < 1e-15);
+            assert!(o.outcome.is_ok(), "{:?}", o.outcome);
+        }
     }
 
     fn request_builder() -> EstimateRequestBuilder {

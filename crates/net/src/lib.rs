@@ -179,6 +179,11 @@ impl Server {
                 // accepted socket on some platforms; handlers expect
                 // blocking I/O.
                 stream.set_nonblocking(false)?;
+                // Records are written whole and flushed as they finish;
+                // Nagle would hold a job's last record back for the peer's
+                // delayed ACK. Best effort: without it the session is only
+                // slower.
+                let _ = stream.set_nodelay(true);
                 next_id += 1;
                 let conn = Connection {
                     id: next_id,

@@ -12,10 +12,12 @@
 //!
 //! * work distribution through a single shared atomic cursor (each worker
 //!   claims the next index; no work item is ever processed twice),
-//! * a single streamed execution core ([`parallel_map_streamed`]) that hands
-//!   `(index, result)` pairs to the caller **as workers finish**; the
-//!   collecting entry points stitch those pairs back into input order, so
-//!   `parallel_map` is a drop-in replacement for `iter().map().collect()`,
+//! * a single streamed execution core over an item count and an index
+//!   closure ([`parallel_map_streamed_until`]) that hands `(index, result)`
+//!   pairs to the caller **as workers finish**; the slice entry points are
+//!   thin wrappers over it, and the collecting ones stitch those pairs back
+//!   into input order, so `parallel_map` is a drop-in replacement for
+//!   `iter().map().collect()`,
 //! * panics in workers propagate to the caller (the scope re-raises them on
 //!   join), preserving the fail-fast behaviour of sequential code.
 //!
@@ -102,9 +104,9 @@ where
         .collect()
 }
 
-/// The streamed execution core: apply `f` to every element in parallel and
-/// hand `(index, result)` pairs to `on_item` **in completion order**, as
-/// workers finish.
+/// Apply `f` to every element in parallel and hand `(index, result)` pairs
+/// to `on_item` **in completion order**, as workers finish: the slice form
+/// of [`parallel_map_streamed_until`] without early exit.
 ///
 /// `on_item` runs on the calling thread, so it may close over `&mut` state
 /// without synchronization. Delivery order is nondeterministic under
@@ -120,10 +122,14 @@ where
     F: Fn(usize, &T) -> R + Sync,
     G: FnMut(usize, R),
 {
-    parallel_map_streamed_until(items, f, |i, r| {
-        on_item(i, r);
-        std::ops::ControlFlow::Continue(())
-    });
+    parallel_map_streamed_until(
+        items.len(),
+        |i| f(i, &items[i]),
+        |i, r| {
+            on_item(i, r);
+            std::ops::ControlFlow::Continue(())
+        },
+    );
 }
 
 /// Bound on results queued between the parallel workers and the consuming
@@ -142,27 +148,29 @@ pub fn streamed_buffer_bound(threads: usize) -> usize {
     (threads * 2).max(8)
 }
 
-/// Like [`parallel_map_streamed`], but `on_item` can stop the run early by
-/// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break): no
-/// further items are claimed, in-flight items finish undelivered, and the
-/// call returns once the workers have drained. This is the single execution
-/// core behind every map in this crate.
+/// The single execution core behind every map in this crate: compute
+/// `f(i)` for each `i` in `0..n` in parallel and hand `(i, f(i))` pairs to
+/// `on_item` **in completion order**. Work is addressed by index, so a
+/// caller that decodes its items from their position (a sweep) never
+/// materialises them. Scheduling, nesting and panics behave as in
+/// [`parallel_map_streamed`].
 ///
-/// Delivery is backpressured: at most [`streamed_buffer_bound`] results are
-/// queued ahead of `on_item`, so a slow consumer throttles the workers
+/// `on_item` can stop the run early by returning
+/// [`ControlFlow::Break`](std::ops::ControlFlow::Break): no further indices
+/// are claimed, in-flight items finish undelivered, and the call returns
+/// once the workers have drained. At most [`streamed_buffer_bound`] results
+/// queue ahead of `on_item`, so a slow consumer throttles the workers
 /// instead of ballooning memory with undelivered results.
-pub fn parallel_map_streamed_until<T, R, F, G>(items: &[T], f: F, mut on_item: G)
+pub fn parallel_map_streamed_until<R, F, G>(n: usize, f: F, mut on_item: G)
 where
-    T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
     G: FnMut(usize, R) -> std::ops::ControlFlow<()>,
 {
-    let n = items.len();
     let threads = max_threads().min(n);
     if threads <= 1 || IN_PARALLEL_WORKER.with(std::cell::Cell::get) {
-        for (i, t) in items.iter().enumerate() {
-            if on_item(i, f(i, t)).is_break() {
+        for i in 0..n {
+            if on_item(i, f(i)).is_break() {
                 return;
             }
         }
@@ -184,7 +192,7 @@ where
                     if i >= n {
                         break;
                     }
-                    if sender.send((i, f(i, &items[i]))).is_err() {
+                    if sender.send((i, f(i))).is_err() {
                         break;
                     }
                 }
@@ -372,55 +380,6 @@ impl ShutdownSignal {
     }
 }
 
-/// Parallel minimisation: return the element of `items` minimising `key`,
-/// along with its key. Ties resolve to the earliest index, matching
-/// `Iterator::min_by`'s "first minimum" contract for stable selection.
-pub fn parallel_min_by_key<T, K, F>(items: &[T], key: F) -> Option<(usize, K)>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    let keys = parallel_map(items, &key);
-    let mut best: Option<(usize, K)> = None;
-    for (i, k) in keys.into_iter().enumerate() {
-        let better = match &best {
-            None => true,
-            Some((_, bk)) => k < *bk,
-        };
-        if better {
-            best = Some((i, k));
-        }
-    }
-    best
-}
-
-/// Cartesian product of two parameter axes, in row-major order — the shape of
-/// the paper's Figure 3/4 sweeps (algorithms × input sizes, algorithms ×
-/// hardware profiles).
-pub fn cartesian2<A: Clone, B: Clone>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len());
-    for x in xs {
-        for y in ys {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
-
-/// Cartesian product of three parameter axes, in row-major order.
-pub fn cartesian3<A: Clone, B: Clone, C: Clone>(xs: &[A], ys: &[B], zs: &[C]) -> Vec<(A, B, C)> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-    for x in xs {
-        for y in ys {
-            for z in zs {
-                out.push((x.clone(), y.clone(), z.clone()));
-            }
-        }
-    }
-    out
-}
-
 /// Parse one `kB` line of `/proc/self/status` (e.g. `VmHWM:  123456 kB`)
 /// into bytes.
 fn proc_status_kb(status: &str, field: &str) -> Option<u64> {
@@ -584,13 +543,13 @@ mod tests {
         let items: Vec<u64> = (0..256).collect();
         let mut delivered = 0usize;
         parallel_map_streamed_until(
-            &items,
-            |_, &x| {
+            items.len(),
+            |i| {
                 processed.fetch_add(1, Ordering::Relaxed);
                 // Slow items keep the in-flight window small, so the break
                 // lands before the workers can drain the whole input.
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                x
+                items[i]
             },
             |_, _| {
                 delivered += 1;
@@ -743,24 +702,6 @@ mod tests {
                  consumer (bound {cap})"
             );
         }
-    }
-
-    #[test]
-    fn min_by_key_first_minimum_wins() {
-        let items = vec![3u64, 1, 4, 1, 5];
-        let (idx, key) = parallel_min_by_key(&items, |&x| x).unwrap();
-        assert_eq!((idx, key), (1, 1));
-        assert!(parallel_min_by_key::<u64, u64, _>(&[], |&x| x).is_none());
-    }
-
-    #[test]
-    fn cartesian_products() {
-        let xy = cartesian2(&[1, 2], &["a", "b", "c"]);
-        assert_eq!(xy.len(), 6);
-        assert_eq!(xy[0], (1, "a"));
-        assert_eq!(xy[5], (2, "c"));
-        let xyz = cartesian3(&[1], &[2, 3], &[4, 5]);
-        assert_eq!(xyz, vec![(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   the paper's three multipliers: schoolbook, Karatsuba, windowed),
 //! * [`estimator`] — the physical resource estimation engine (QEC code
 //!   distance, T factories, rQOPS, constraints, Pareto frontiers, and the
-//!   batch/sweep execution path),
+//!   sweep execution path),
 //! * [`expr`] — the formula-string engine for QEC/distillation parameters,
 //! * [`json`] — the JSON substrate used by the job/result I/O contract.
 //!
@@ -30,17 +30,17 @@
 //! (the service's job arrays, Section IV-A):
 //!
 //! * [`estimator::Estimator::estimate`] — one request,
-//! * [`estimator::Estimator::estimate_batch`] — independent requests, run
-//!   in parallel with order-preserving, per-item outcomes,
 //! * [`estimator::Estimator::sweep`] — a declared [`estimator::SweepSpec`]
-//!   (workloads × profiles × QEC schemes × budgets × constraints) expanded
-//!   in row-major order and executed in parallel,
+//!   (workloads × profiles × QEC schemes × budgets × constraints) executed
+//!   in parallel with order-preserving, per-item outcomes; each item is
+//!   decoded from its row-major index, so a shard of a huge sweep costs
+//!   only its own items,
 //! * [`estimator::Estimator::frontier`] — the qubit/runtime Pareto
 //!   frontier, sharing the same cache.
 //!
 //! A warm engine skips the expensive distillation-pipeline search for
 //! repeated scenarios; failing items report their error in place instead of
-//! aborting the batch.
+//! aborting the sweep.
 //!
 //! ```
 //! use qre::arith::{multiplication_counts, MulAlgorithm};

@@ -17,6 +17,16 @@ fn counts(t: u64) -> LogicalCounts {
     }
 }
 
+/// A job array as a sweep: one workload per T count, every other axis fixed
+/// to [`request`]'s values, so item `i` is `request(sizes[i])`.
+fn workloads(sizes: &[u64]) -> SweepSpec {
+    SweepSpec::new()
+        .workloads(sizes.iter().map(|&t| (format!("t={t}"), counts(t))))
+        .profile(HardwareProfile::qubit_gate_ns_e3())
+        .qec(QecSchemeKind::SurfaceCode)
+        .total_error_budget(1e-3)
+}
+
 fn request(t: u64) -> EstimateRequest {
     EstimateRequest::builder()
         .label(format!("t={t}"))
@@ -36,18 +46,17 @@ fn batch_results_come_back_in_input_order() {
         400_000, 1_000, 250_000, 5_000, 120_000, 2_000, 80_000, 10_000, 40_000, 3_000, 20_000,
         600_000,
     ];
-    let requests: Vec<EstimateRequest> = sizes.iter().map(|&t| request(t)).collect();
-    let outcomes = Estimator::new().estimate_batch(&requests);
+    let outcomes = Estimator::new().sweep(&workloads(&sizes)).unwrap();
     assert_eq!(outcomes.len(), sizes.len());
     for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.index, i);
-        assert_eq!(outcome.label, format!("t={}", sizes[i]));
+        assert_eq!(outcome.point.index, i);
+        assert_eq!(outcome.point.workload, format!("t={}", sizes[i]));
         let result = outcome.outcome.as_ref().unwrap();
-        // The outcome really belongs to request i: its pre-layout T count
+        // The outcome really belongs to item i: its pre-layout T count
         // must match the submitted workload.
         assert_eq!(result.pre_layout.t_count, sizes[i]);
         // And it must equal the one-shot estimate of the same request.
-        let solo = requests[i].estimation.estimate().unwrap();
+        let solo = Estimator::new().estimate(&request(sizes[i])).unwrap();
         assert_eq!(*result, solo);
     }
 }
@@ -180,13 +189,14 @@ fn streamed_batch_carries_correct_indices_under_uneven_load() {
     // Mixed sizes: completion order differs from input order in parallel
     // runs, so each delivered outcome must self-identify via its index.
     let sizes: Vec<u64> = vec![500_000, 1_000, 200_000, 4_000, 90_000, 2_000];
-    let requests: Vec<EstimateRequest> = sizes.iter().map(|&t| request(t)).collect();
     let engine = Estimator::new();
     let mut delivered: Vec<(usize, u64)> = Vec::new();
-    engine.estimate_batch_with(&requests, |o| {
-        let t = o.outcome.as_ref().unwrap().pre_layout.t_count;
-        delivered.push((o.index, t));
-    });
+    engine
+        .sweep_with(&workloads(&sizes), |o| {
+            let t = o.outcome.as_ref().unwrap().pre_layout.t_count;
+            delivered.push((o.point.index, t));
+        })
+        .unwrap();
     assert_eq!(delivered.len(), sizes.len());
     for (index, t_count) in delivered {
         assert_eq!(

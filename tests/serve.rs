@@ -392,6 +392,42 @@ fn dead_output_ends_the_session_instead_of_estimating_into_the_void() {
     assert!(err.contains("consumer hung up"), "{err}");
 }
 
+/// Records every `write` call it receives, unsplit.
+#[derive(Default)]
+struct CountingWriter {
+    writes: Vec<Vec<u8>>,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn session_writes_each_record_with_one_write() {
+    // A record split across writes (body, then newline) leaves its tail
+    // behind the peer's delayed ACK on a socket: each record, newline
+    // included, must reach the output as exactly one write.
+    let script = format!("{ESTIMATE_LINE}\n{}\n", SWEEP_LINE.replace('\n', " "));
+    let mut output = CountingWriter::default();
+    let summary = serve(script.as_bytes(), &mut output, &sequential()).unwrap();
+    // 1 result + stats, 6 sweep items + stats.
+    assert_eq!(summary.records, 9);
+    assert_eq!(output.writes.len(), summary.records);
+    for write in &output.writes {
+        let text = std::str::from_utf8(write).unwrap();
+        let line = text.strip_suffix('\n').expect("write ends its record");
+        assert!(!line.contains('\n'), "one record per write: {text:?}");
+        qre_json::parse(line).expect("each write is one whole record");
+    }
+}
+
 #[test]
 fn blank_lines_are_skipped_and_empty_sessions_summarize() {
     let (summary, lines) = run_serve("\n   \n\n", &ServeOptions::default());
