@@ -8,7 +8,7 @@
 //! [`LogicalCounts::repeat`]) for splicing hand-computed sub-circuit costs
 //! into a larger program.
 
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 
 /// Pre-layout logical resource counts of an algorithm (paper Section III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,17 +98,10 @@ impl LogicalCounts {
         }
     }
 
-    /// Render as the `preLayoutLogicalResources` JSON group (Section IV-D.5).
+    /// Render as the `preLayoutLogicalResources` JSON group (Section IV-D.5),
+    /// as written by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("numQubits", self.num_qubits)
-            .field("tCount", self.t_count)
-            .field("rotationCount", self.rotation_count)
-            .field("rotationDepth", self.rotation_depth)
-            .field("cczCount", self.ccz_count)
-            .field("ccixCount", self.ccix_count)
-            .field("measurementCount", self.measurement_count)
-            .build()
+        qre_json::to_value(self)
     }
 
     /// Parse from the JSON shape produced by [`LogicalCounts::to_json`].
@@ -206,6 +199,21 @@ impl LogicalCountsBuilder {
     /// Finish building.
     pub fn build(self) -> LogicalCounts {
         self.counts
+    }
+}
+
+/// The `preLayoutLogicalResources` group (Section IV-D.5).
+impl WriteJson for LogicalCounts {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("numQubits", self.num_qubits);
+            w.field("tCount", self.t_count);
+            w.field("rotationCount", self.rotation_count);
+            w.field("rotationDepth", self.rotation_depth);
+            w.field("cczCount", self.ccz_count);
+            w.field("ccixCount", self.ccix_count);
+            w.field("measurementCount", self.measurement_count);
+        });
     }
 }
 

@@ -74,9 +74,17 @@ impl CountingTracer {
     fn layer_slot(&mut self, q: QubitId) -> &mut u64 {
         let idx = q.index();
         if idx >= self.layer.len() {
-            self.layer.resize(idx + 1, 0);
+            self.grow_layers(idx);
         }
         &mut self.layer[idx]
+    }
+
+    /// Extend the layer table to cover qubit `idx`. Out of line, so the
+    /// per-gate path stays a bounds check and a load.
+    #[cold]
+    #[inline(never)]
+    fn grow_layers(&mut self, idx: usize) {
+        self.layer.resize(idx + 1, 0);
     }
 }
 

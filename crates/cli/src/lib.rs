@@ -85,10 +85,11 @@ use std::io::Write;
 use qre_arith::MulAlgorithm;
 use qre_circuit::{qir, LogicalCounts};
 use qre_core::{
-    Constraints, ErrorBudget, EstimateRequest, Estimator, FrontierPoint, PartitionSearch,
-    PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec, SweepStream,
+    Constraints, ErrorBudget, EstimateRequest, EstimationResult, Estimator, FrontierPoint,
+    PartitionSearch, PhysicalQubit, QecSchemeKind, SweepOutcome, SweepScheme, SweepSpec,
+    SweepStream,
 };
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, Writer};
 
 /// Parsed job specification.
 #[derive(Debug)]
@@ -194,51 +195,62 @@ pub fn parse_submission_value(doc: &Value) -> Result<Submission, String> {
     Ok(Submission { stream, kind })
 }
 
-/// Render one finished sweep item — its axis coordinates plus the result or
-/// in-place error — as a JSON object. Shared by the collecting, streamed,
-/// and serve output paths, so a streamed record is field-for-field identical
-/// to the matching entry of the monolithic document.
-pub(crate) fn sweep_item_json(o: &qre_core::SweepOutcome) -> Value {
-    let c = &o.point.constraints;
-    let constraints = ObjectBuilder::new()
-        .field_opt("logicalDepthFactor", c.logical_depth_factor)
-        .field_opt("maxTFactories", c.max_t_factories)
-        .field_opt("maxDurationNs", c.max_duration_ns)
-        .field_opt("maxPhysicalQubits", c.max_physical_qubits)
-        .build();
-    let base = ObjectBuilder::new()
-        .field("index", o.point.index as u64)
-        .field("workload", o.point.workload.as_str())
-        .field("profile", o.point.profile.as_str())
-        .field("qecScheme", o.point.scheme.as_str())
-        .field("errorBudget", o.point.budget.total())
-        .field("constraints", constraints);
+/// One compact NDJSON record line, newline included: the object whose
+/// members `fields` writes. Every streamed and served record is built here,
+/// straight from the typed results, so each reaches its output with one
+/// `write_all`.
+pub(crate) fn record_line(fields: impl FnOnce(&mut Writer)) -> String {
+    // Room for a whole result record (about 3 KB), so the buffer is
+    // allocated once instead of regrown while the record is written.
+    let mut w = Writer::compact().with_capacity(4096);
+    w.object(fields);
+    let mut line = w.into_string();
+    line.push('\n');
+    line
+}
+
+/// Write one finished sweep item's members — its axis coordinates plus the
+/// result or in-place error. Shared by the collecting, streamed, and serve
+/// output paths, so a streamed record is field-for-field identical to the
+/// matching entry of the monolithic document.
+pub(crate) fn write_sweep_item(w: &mut Writer, o: &SweepOutcome) {
+    let p = &o.point;
+    w.field("index", p.index);
+    w.field("workload", &p.workload);
+    w.field("profile", &p.profile);
+    w.field("qecScheme", &p.scheme);
+    w.field("errorBudget", p.budget.total());
+    let c = &p.constraints;
+    w.key("constraints");
+    w.object(|w| {
+        w.field_opt("logicalDepthFactor", c.logical_depth_factor);
+        w.field_opt("maxTFactories", c.max_t_factories);
+        w.field_opt("maxDurationNs", c.max_duration_ns);
+        w.field_opt("maxPhysicalQubits", c.max_physical_qubits);
+    });
     match &o.outcome {
-        Ok(result) => base
-            .field("status", "success")
-            .field("result", result.to_json())
-            .build(),
-        Err(e) => base
-            .field("status", "error")
-            .field("message", e.to_string())
-            .build(),
+        Ok(result) => {
+            w.field("status", "success");
+            w.field("result", result);
+        }
+        Err(e) => write_error(w, &e.to_string()),
     }
 }
 
-/// Render an engine's aggregated pipeline-search counters as the
+/// Write an engine's aggregated pipeline-search counters as the
 /// `searchStats` JSON object (the `--search-stats` surface, shared by the
 /// one-shot CLI and the serve service).
-pub fn search_stats_json(engine: &Estimator) -> Value {
+pub fn write_search_stats(w: &mut Writer, engine: &Estimator) {
     let s = engine.search_stats();
-    ObjectBuilder::new()
-        .field("searches", s.searches)
-        .field("seededSearches", s.seeded_searches)
-        .field("nodesExpanded", s.totals.nodes_expanded)
-        .field("nodesPrunedBound", s.totals.nodes_pruned_bound)
-        .field("nodesPrunedDominated", s.totals.nodes_pruned_dominated)
-        .field("memoHits", s.totals.memo_hits)
-        .field("factoriesRealised", s.totals.factories_realised)
-        .build()
+    w.object(|w| {
+        w.field("searches", s.searches);
+        w.field("seededSearches", s.seeded_searches);
+        w.field("nodesExpanded", s.totals.nodes_expanded);
+        w.field("nodesPrunedBound", s.totals.nodes_pruned_bound);
+        w.field("nodesPrunedDominated", s.totals.nodes_pruned_dominated);
+        w.field("memoHits", s.totals.memo_hits);
+        w.field("factoriesRealised", s.totals.factories_realised);
+    });
 }
 
 /// Run a submission through `engine`: a single result object, `{"items":
@@ -248,30 +260,14 @@ pub fn search_stats_json(engine: &Estimator) -> Value {
 /// `stream` flag; callers honouring it use [`run_submission_streamed_via`].
 /// The caller keeps the engine's cache and search counters after the run
 /// (the `--search-stats` flow) or shares one warm cache across submissions.
+///
+/// This is [`write_submission_via`]'s compact document parsed back, for
+/// callers that inspect the document rather than print it.
 pub fn run_submission_via(engine: &Estimator, submission: &Submission) -> Result<Value, String> {
-    match &submission.kind {
-        SubmissionKind::Single(spec) => run_job_via(engine, spec),
-        SubmissionKind::Batch(jobs) => {
-            // One parallel pass over the whole array; every item shares the
-            // engine's factory cache.
-            let items: Vec<Value> = qre_par::parallel_map(jobs, |spec| {
-                batch_item(engine, spec).unwrap_or_else(|error| error)
-            });
-            Ok(ObjectBuilder::new()
-                .field("status", "success")
-                .field("items", Value::Array(items))
-                .build())
-        }
-        SubmissionKind::Sweep(spec) => {
-            let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
-            let items: Vec<Value> = outcomes.iter().map(sweep_item_json).collect();
-            Ok(ObjectBuilder::new()
-                .field("status", "success")
-                .field("estimateType", "sweep")
-                .field("items", Value::Array(items))
-                .build())
-        }
-    }
+    let mut text = Vec::new();
+    write_submission_via(engine, submission, &mut text, true)?;
+    let text = std::str::from_utf8(&text).expect("the writer emits UTF-8");
+    Ok(qre_json::parse(text).expect("the writer emits valid JSON"))
 }
 
 /// Most batch/sweep item results resident while [`write_submission_via`]
@@ -288,12 +284,22 @@ pub fn run_submission_via(engine: &Estimator, submission: &Submission) -> Result
 /// in-flight item per worker.)
 pub const MONOLITHIC_CHUNK_ITEMS: usize = 512;
 
+/// The writer of a one-shot output document: one line, or pretty-printed.
+fn document_writer(compact: bool) -> Writer {
+    if compact {
+        Writer::compact()
+    } else {
+        Writer::pretty(0)
+    }
+}
+
 /// Incremental writer for the monolithic `{..., "items": [...]}` document:
-/// emits the exact bytes of pretty/compact-printing the assembled value,
-/// one item at a time, so the document never has to exist in memory.
+/// one [`Writer`] walks the whole document, and each item's bytes are
+/// handed to the output as soon as it is written, so the document never has
+/// to exist in memory.
 struct ItemsDocWriter<'a> {
     out: &'a mut dyn Write,
-    compact: bool,
+    doc: Writer,
     total: usize,
     written: usize,
 }
@@ -309,59 +315,41 @@ impl<'a> ItemsDocWriter<'a> {
         head: &[(&str, &str)],
         total: usize,
     ) -> Result<Self, String> {
-        if compact {
-            write!(out, "{{").map_err(Self::IO)?;
-            for (k, v) in head {
-                write!(out, "\"{k}\":\"{v}\",").map_err(Self::IO)?;
-            }
-            write!(out, "\"items\":[").map_err(Self::IO)?;
-        } else {
-            writeln!(out, "{{").map_err(Self::IO)?;
-            for (k, v) in head {
-                writeln!(out, "  \"{k}\": \"{v}\",").map_err(Self::IO)?;
-            }
-            if total == 0 {
-                // The pretty printer renders an empty array compactly.
-                write!(out, "  \"items\": []").map_err(Self::IO)?;
-            } else {
-                writeln!(out, "  \"items\": [").map_err(Self::IO)?;
-            }
+        let mut doc = document_writer(compact);
+        doc.begin_object();
+        for (k, v) in head {
+            doc.field(k, *v);
         }
+        doc.key("items");
+        doc.begin_array();
+        doc.drain_to(out).map_err(Self::IO)?;
         Ok(ItemsDocWriter {
             out,
-            compact,
+            doc,
             total,
             written: 0,
         })
     }
 
-    fn item(&mut self, item: &Value) -> Result<(), String> {
+    /// Write one item: the object whose members `fields` writes.
+    fn item(&mut self, fields: impl FnOnce(&mut Writer)) -> Result<(), String> {
         self.written += 1;
-        if self.compact {
-            if self.written > 1 {
-                write!(self.out, ",").map_err(Self::IO)?;
-            }
-            write!(self.out, "{}", item.to_string_compact()).map_err(Self::IO)
-        } else {
-            let sep = if self.written < self.total { "," } else { "" };
-            writeln!(self.out, "    {}{sep}", item.to_string_pretty_indented(2)).map_err(Self::IO)
-        }
+        self.doc.object(fields);
+        self.doc.drain_to(self.out).map_err(Self::IO)
     }
 
-    fn finish(self) -> Result<(), String> {
+    fn finish(mut self) -> Result<(), String> {
         if self.written != self.total {
             return Err(format!(
                 "submission produced {} item(s), expected {}",
                 self.written, self.total
             ));
         }
-        if self.compact {
-            writeln!(self.out, "]}}").map_err(Self::IO)?;
-        } else if self.total == 0 {
-            writeln!(self.out, "\n}}").map_err(Self::IO)?;
-        } else {
-            writeln!(self.out, "  ]\n}}").map_err(Self::IO)?;
-        }
+        self.doc.end_array();
+        self.doc.end_object();
+        let mut tail = self.doc.into_string();
+        tail.push('\n');
+        self.out.write_all(tail.as_bytes()).map_err(Self::IO)?;
         self.out.flush().map_err(Self::IO)
     }
 }
@@ -400,23 +388,20 @@ fn write_submission_chunked(
     match &submission.kind {
         SubmissionKind::Single(spec) => {
             // One result: nothing to chunk.
-            let value = run_job_via(engine, spec)?;
-            let text = if compact {
-                value.to_string_compact()
-            } else {
-                value.to_string_pretty()
-            };
-            writeln!(out, "{text}").map_err(ItemsDocWriter::IO)?;
-            out.flush().map_err(ItemsDocWriter::IO)
+            let output = run_job_via(engine, spec)?;
+            let mut doc = document_writer(compact);
+            doc.object(|w| output.write_fields(w));
+            let mut text = doc.into_string();
+            text.push('\n');
+            out.write_all(text.as_bytes())
+                .and_then(|()| out.flush())
+                .map_err(ItemsDocWriter::IO)
         }
         SubmissionKind::Batch(jobs) => {
             let mut doc = ItemsDocWriter::open(out, compact, &[("status", "success")], jobs.len())?;
             for block in jobs.chunks(chunk) {
-                let items: Vec<Value> = qre_par::parallel_map(block, |spec| {
-                    batch_item(engine, spec).unwrap_or_else(|error| error)
-                });
-                for item in &items {
-                    doc.item(item)?;
+                for item in qre_par::parallel_map(block, |spec| run_job_via(engine, spec)) {
+                    doc.item(|w| write_job_outcome(w, &item))?;
                 }
             }
             doc.finish()
@@ -429,7 +414,7 @@ fn write_submission_chunked(
                 let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
                 let mut doc = ItemsDocWriter::open(out, compact, &head, outcomes.len())?;
                 for o in &outcomes {
-                    doc.item(&sweep_item_json(o))?;
+                    doc.item(|w| write_sweep_item(w, o))?;
                 }
                 return doc.finish();
             }
@@ -449,7 +434,7 @@ fn write_submission_chunked(
                 .map_err(|e| e.to_string())?;
             let mut doc = ItemsDocWriter::open(out, compact, &head, total)?;
             for o in &first {
-                doc.item(&sweep_item_json(o))?;
+                doc.item(|w| write_sweep_item(w, o))?;
             }
             for i in 1..blocks {
                 let block = spec
@@ -457,7 +442,7 @@ fn write_submission_chunked(
                     .shard_of(i, blocks)
                     .map_err(|e| e.to_string())?;
                 for o in &engine.sweep(&block).map_err(|e| e.to_string())? {
-                    doc.item(&sweep_item_json(o))?;
+                    doc.item(|w| write_sweep_item(w, o))?;
                 }
             }
             doc.finish()
@@ -488,20 +473,27 @@ impl<'a> NdjsonSink<'a> {
         }
     }
 
-    fn write_line(&mut self, value: &Value) {
+    fn write_line(&mut self, fields: impl FnOnce(&mut Writer)) {
         if self.io_error.is_some() {
             return;
         }
-        let line = value.to_string_compact();
-        // Flush per record: streaming output is only useful if each finished
-        // item reaches the consumer (a pipe, a log follower) immediately.
-        if let Err(e) = writeln!(self.out, "{line}").and_then(|()| self.out.flush()) {
+        // One write per record, newline included (an unbuffered socket
+        // would otherwise carry each record in two pieces), and a flush per
+        // record: streaming output is only useful if each finished item
+        // reaches the consumer (a pipe, a log follower) immediately.
+        let line = record_line(fields);
+        if let Err(e) = self
+            .out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.flush())
+        {
             self.io_error = Some(e);
         }
     }
 
-    fn record(&mut self, value: &Value) {
-        self.write_line(value);
+    /// Write one item record: the object whose members `fields` writes.
+    fn record(&mut self, fields: impl FnOnce(&mut Writer)) {
+        self.write_line(fields);
         self.done += 1;
         if self.done.is_multiple_of(self.stride) && self.done != self.total {
             self.progress();
@@ -515,11 +507,11 @@ impl<'a> NdjsonSink<'a> {
     }
 
     fn progress(&mut self) {
-        let progress = ObjectBuilder::new()
-            .field("progress", self.done as u64)
-            .field("total", self.total as u64)
-            .build();
-        self.write_line(&progress);
+        let (done, total) = (self.done, self.total);
+        self.write_line(|w| {
+            w.field("progress", done);
+            w.field("total", total);
+        });
     }
 
     fn finish(mut self) -> Result<(), String> {
@@ -555,7 +547,7 @@ pub fn run_submission_streamed_via(
             let points = run_frontier_points_via(engine, spec)?;
             let mut sink = NdjsonSink::new(out, points.len());
             for (i, p) in points.iter().enumerate() {
-                sink.record(&frontier_point_json(i, p));
+                sink.record(|w| write_frontier_point(w, i, p));
                 if sink.failed() {
                     break;
                 }
@@ -563,17 +555,17 @@ pub fn run_submission_streamed_via(
             return sink.finish();
         }
         SubmissionKind::Single(spec) => {
-            let record = run_job_via(engine, spec)?;
+            let output = run_job_via(engine, spec)?;
             let mut sink = NdjsonSink::new(out, 1);
-            sink.record(&record);
+            sink.record(|w| output.write_fields(w));
             return sink.finish();
         }
         SubmissionKind::Batch(jobs) => ItemRun::Batch(jobs),
         SubmissionKind::Sweep(spec) => ItemRun::sweep(engine, spec)?,
     };
     let mut sink = NdjsonSink::new(out, items.total());
-    items.run(engine, |record| {
-        sink.record(&record);
+    items.run(engine, |fields| {
+        sink.record(fields);
         !sink.failed()
     });
     sink.finish()
@@ -612,24 +604,30 @@ impl<'a> ItemRun<'a> {
         }
     }
 
-    /// Execute every item, handing each record to `emit` as it finishes:
-    /// batch records are the item's result (or error object) led by its
-    /// `index`, sweep records are [`sweep_item_json`]. Once `emit` returns
-    /// `false` (a dead consumer) no further items start; only the in-flight
-    /// ones finish.
-    pub(crate) fn run(self, engine: &Estimator, mut emit: impl FnMut(Value) -> bool) -> ItemCounts {
+    /// Execute every item, handing each record to `emit` as it finishes,
+    /// as a writer of the record's members: batch records are the item's
+    /// result (or error) led by its `index`, sweep records are
+    /// [`write_sweep_item`]. The caller frames and encodes the record on the
+    /// thread that runs this loop. Once `emit` returns `false` (a dead
+    /// consumer) no further items start; only the in-flight ones finish.
+    pub(crate) fn run(
+        self,
+        engine: &Estimator,
+        mut emit: impl FnMut(&dyn Fn(&mut Writer)) -> bool,
+    ) -> ItemCounts {
         let mut counts = ItemCounts::default();
         match self {
             ItemRun::Batch(jobs) => {
                 counts.items = jobs.len();
                 qre_par::parallel_map_streamed_until(
                     jobs.len(),
-                    |index| batch_item(engine, &jobs[index]),
+                    |index| run_job_via(engine, &jobs[index]),
                     |index, item| {
                         counts.errors += usize::from(item.is_err());
-                        let indexed = ObjectBuilder::new().field("index", index as u64).build();
-                        let record = serve::merge_objects(indexed, item.unwrap_or_else(|e| e));
-                        if emit(record) {
+                        if emit(&|w| {
+                            w.field("index", index);
+                            write_job_outcome(w, &item);
+                        }) {
                             std::ops::ControlFlow::Continue(())
                         } else {
                             std::ops::ControlFlow::Break(())
@@ -641,7 +639,7 @@ impl<'a> ItemRun<'a> {
                 for outcome in stream {
                     counts.items += 1;
                     counts.errors += usize::from(outcome.outcome.is_err());
-                    if !emit(sweep_item_json(&outcome)) {
+                    if !emit(&|w| write_sweep_item(w, &outcome)) {
                         // Dropping the stream cancels the remaining items.
                         break;
                     }
@@ -1035,46 +1033,69 @@ fn parse_qec(v: Option<&Value>) -> Result<QecSchemeKind, String> {
     }
 }
 
-/// Run a job through a caller-owned engine, sharing its factory cache: a
-/// single result object, or a frontier document.
-fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
-    if spec.frontier {
-        let points = run_frontier_points_via(engine, spec)?;
-        let items: Vec<Value> = points
-            .iter()
-            .map(|p| {
-                ObjectBuilder::new()
-                    .field("maxTFactories", p.max_t_factories)
-                    .field("errorBudget", p.budget.to_json())
-                    .field("result", p.result.to_json())
-                    .build()
-            })
-            .collect();
-        Ok(ObjectBuilder::new()
-            .field("status", "success")
-            .field("estimateType", "frontier")
-            .field("searchBudgetPartition", spec.search_partition)
-            .field("frontier", Value::Array(items))
-            .build())
-    } else {
-        let result = engine.estimate(&spec.request).map_err(|e| e.to_string())?;
-        Ok(result.to_json())
+/// What one job produced: a single estimate or a frontier.
+pub(crate) enum JobOutput {
+    Estimate(Box<EstimationResult>),
+    Frontier {
+        search_partition: bool,
+        points: Vec<FrontierPoint>,
+    },
+}
+
+impl JobOutput {
+    /// Write the job's result document members: the estimate's groups, or
+    /// the frontier document with one entry per Pareto point.
+    pub(crate) fn write_fields(&self, w: &mut Writer) {
+        match self {
+            JobOutput::Estimate(result) => result.write_fields(w),
+            JobOutput::Frontier {
+                search_partition,
+                points,
+            } => {
+                w.field("status", "success");
+                w.field("estimateType", "frontier");
+                w.field("searchBudgetPartition", *search_partition);
+                w.key("frontier");
+                w.array(|w| {
+                    for p in points {
+                        w.object(|w| write_frontier_entry(w, p));
+                    }
+                });
+            }
+        }
     }
 }
 
-/// Run one batch item: its result document, or the in-place error object
-/// that stands for it.
-fn batch_item(engine: &Estimator, spec: &JobSpec) -> Result<Value, Value> {
-    run_job_via(engine, spec).map_err(error_object)
+/// Run a job through a caller-owned engine, sharing its factory cache: a
+/// single estimate, or a frontier.
+fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<JobOutput, String> {
+    if spec.frontier {
+        Ok(JobOutput::Frontier {
+            search_partition: spec.search_partition,
+            points: run_frontier_points_via(engine, spec)?,
+        })
+    } else {
+        engine
+            .estimate(&spec.request)
+            .map(|result| JobOutput::Estimate(Box::new(result)))
+            .map_err(|e| e.to_string())
+    }
 }
 
-/// The `{"status": "error", "message": …}` object reporting a failure in
-/// place of a result.
-pub(crate) fn error_object(message: String) -> Value {
-    ObjectBuilder::new()
-        .field("status", "error")
-        .field("message", message)
-        .build()
+/// Write a batch item's members: its result document, or the in-place
+/// error that stands for it.
+fn write_job_outcome(w: &mut Writer, outcome: &Result<JobOutput, String>) {
+    match outcome {
+        Ok(output) => output.write_fields(w),
+        Err(message) => write_error(w, message),
+    }
+}
+
+/// Write the `"status": "error", "message": …` members reporting a failure
+/// in place of a result.
+pub(crate) fn write_error(w: &mut Writer, message: &str) {
+    w.field("status", "error");
+    w.field("message", message);
 }
 
 /// Explore a frontier job's Pareto set: the plain factory-cap frontier, or
@@ -1092,15 +1113,19 @@ pub(crate) fn run_frontier_points_via(
     points.map_err(|e| e.to_string())
 }
 
-/// One streamed frontier-point record: the monolithic document's entry
-/// fields plus the point's `index` along the frontier.
-pub(crate) fn frontier_point_json(index: usize, p: &FrontierPoint) -> Value {
-    ObjectBuilder::new()
-        .field("index", index as u64)
-        .field("maxTFactories", p.max_t_factories)
-        .field("errorBudget", p.budget.to_json())
-        .field("result", p.result.to_json())
-        .build()
+/// Write one frontier document entry's members: the point's factory cap,
+/// budget partition, and result.
+fn write_frontier_entry(w: &mut Writer, p: &FrontierPoint) {
+    w.field("maxTFactories", p.max_t_factories);
+    w.field("errorBudget", p.budget);
+    w.field("result", &p.result);
+}
+
+/// Write one streamed frontier-point record's members: the point's `index`
+/// along the frontier, then the monolithic document's entry fields.
+pub(crate) fn write_frontier_point(w: &mut Writer, index: usize, p: &FrontierPoint) {
+    w.field("index", index);
+    write_frontier_entry(w, p);
 }
 
 /// Run a job and return the human-readable report instead of JSON.
@@ -1115,6 +1140,13 @@ pub fn run_job_report(spec: &JobSpec) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// A job's result document, parsed back from its written bytes.
+    fn job_value(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
+        let output = run_job_via(engine, spec)?;
+        let line = record_line(|w| output.write_fields(w));
+        Ok(qre_json::parse(&line).unwrap())
+    }
+
     const COUNTS_JOB: &str = r#"{
         "algorithm": { "logicalCounts": { "numQubits": 100, "tCount": 50000, "cczCount": 1000, "measurementCount": 20000 } },
         "qubitParams": { "name": "qubit_gate_ns_e3" },
@@ -1126,7 +1158,7 @@ mod tests {
     fn counts_job_round_trip() {
         let spec = parse_job(COUNTS_JOB).unwrap();
         assert!(!spec.frontier);
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("status").unwrap().as_str(), Some("success"));
         assert!(
             out.get_path("physicalCounts.physicalQubits")
@@ -1146,7 +1178,7 @@ mod tests {
             "errorBudget": 0.01
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("preLayoutLogicalResources.tCount")
                 .unwrap()
@@ -1164,7 +1196,7 @@ mod tests {
             "errorBudget": 1e-4
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert!(
             out.get_path("breakdown.numTstates")
                 .unwrap()
@@ -1185,7 +1217,7 @@ mod tests {
         }"#;
         let spec = parse_job(job).unwrap();
         assert!(spec.frontier);
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("estimateType").unwrap().as_str(), Some("frontier"));
         assert!(!out.get("frontier").unwrap().as_array().unwrap().is_empty());
     }
@@ -1203,8 +1235,8 @@ mod tests {
         assert!(!fixed.search_partition);
         assert!(searched.frontier && searched.search_partition);
 
-        let fixed = run_job_via(&Estimator::new(), &fixed).unwrap();
-        let searched = run_job_via(&Estimator::new(), &searched).unwrap();
+        let fixed = job_value(&Estimator::new(), &fixed).unwrap();
+        let searched = job_value(&Estimator::new(), &searched).unwrap();
         assert_eq!(
             searched.get("searchBudgetPartition").unwrap().as_bool(),
             Some(true)
@@ -1285,15 +1317,13 @@ mod tests {
             SubmissionKind::Single(spec) => spec,
             _ => unreachable!(),
         };
-        let doc = run_job_via(&Estimator::new(), spec).unwrap();
+        let doc = job_value(&Estimator::new(), spec).unwrap();
         let entries = doc.get("frontier").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), records.len());
         for (i, (entry, record)) in entries.iter().zip(&records).enumerate() {
-            let expected = serve::merge_objects(
-                ObjectBuilder::new().field("index", i as u64).build(),
-                entry.clone(),
-            );
-            assert_eq!(&expected, *record);
+            let mut expected = vec![("index".to_string(), Value::from(i))];
+            expected.extend(entry.as_object().unwrap().iter().cloned());
+            assert_eq!(&Value::Object(expected), *record);
         }
     }
 
@@ -1363,7 +1393,7 @@ mod tests {
             "errorBudget": 0.001
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.tGateError")
                 .unwrap()
@@ -1381,7 +1411,7 @@ mod tests {
             "errorBudget": 0.001,
             "constraints": { "maxTFactories": 2 }
         }"#;
-        let out = run_job_via(&Estimator::new(), &parse_job(job).unwrap()).unwrap();
+        let out = job_value(&Estimator::new(), &parse_job(job).unwrap()).unwrap();
         assert!(
             out.get_path("breakdown.numTfactories")
                 .unwrap()
@@ -1395,7 +1425,7 @@ mod tests {
     fn defaults_applied() {
         let job = r#"{ "algorithm": { "logicalCounts": { "numQubits": 5, "tCount": 10 } } }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job_via(&Estimator::new(), &spec).unwrap();
+        let out = job_value(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.name")
                 .unwrap()

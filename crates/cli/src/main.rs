@@ -484,9 +484,11 @@ fn main() -> ExitCode {
 /// output, so existing consumers parse it unchanged.
 fn print_search_stats(enabled: bool, engine: &qre_core::Estimator) {
     if enabled {
-        let record = qre_json::ObjectBuilder::new()
-            .field("searchStats", qre_cli::search_stats_json(engine))
-            .build();
-        eprintln!("{}", record.to_string_compact());
+        let mut record = qre_json::Writer::compact();
+        record.object(|w| {
+            w.key("searchStats");
+            qre_cli::write_search_stats(w, engine);
+        });
+        eprintln!("{}", record.as_str());
     }
 }

@@ -18,7 +18,6 @@ use std::io::{BufReader, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use qre_json::ObjectBuilder;
 use qre_net::{Connection, ConnectionHandler, Server, ServerOptions};
 
 use crate::{run_session, ServeShared, SessionConfig};
@@ -94,17 +93,15 @@ impl ConnectionHandler for SessionHandler<'_> {
     }
 
     fn reject(&self, mut conn: Connection) {
-        let bye = ObjectBuilder::new()
-            .field(
-                "bye",
-                ObjectBuilder::new()
-                    .field("session", conn.id)
-                    .field("busy", true)
-                    .build(),
-            )
-            .build();
+        let bye = crate::record_line(|w| {
+            w.key("bye");
+            w.object(|w| {
+                w.field("session", conn.id);
+                w.field("busy", true);
+            });
+        });
         // The peer may already be gone; rejection is best-effort by nature.
-        if writeln!(conn.stream, "{}", bye.to_string_compact()).is_ok() {
+        if conn.stream.write_all(bye.as_bytes()).is_ok() {
             self.records.fetch_add(1, Ordering::Relaxed);
         }
     }

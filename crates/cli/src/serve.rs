@@ -114,9 +114,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use qre_core::{Estimator, FactoryCache, Shard};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, Writer};
 
-use crate::{ItemCounts, ItemRun, Submission, SubmissionKind};
+use crate::{record_line, ItemCounts, ItemRun, Submission, SubmissionKind};
 
 /// Knobs of a serve service (pipe or network).
 #[derive(Debug, Clone)]
@@ -339,25 +339,42 @@ pub struct SessionConfig {
     pub lifecycle: bool,
 }
 
-/// Counted hand-off of records to the session's writer thread: the sender
-/// side is bounded ([`ServeOptions::writer_buffer`]), so emitting blocks
+/// Counted hand-off of finished record lines to the session's writer
+/// thread. Records are encoded by the producer (the job thread that
+/// receives each outcome), so the writer only writes. The sender side is
+/// bounded ([`ServeOptions::writer_buffer`] records), so emitting blocks
 /// while the writer is behind — the per-session output backpressure.
 struct RecordSink {
-    sender: mpsc::SyncSender<Value>,
+    sender: mpsc::SyncSender<String>,
     emitted: Arc<AtomicUsize>,
 }
 
 impl RecordSink {
-    /// Queue a record for the writer. `false` once the receiver is gone
-    /// (the writer died): the session is over, and producers stop instead
-    /// of estimating items nobody will read.
-    fn emit(&self, record: Value) -> bool {
-        if self.sender.send(record).is_ok() {
+    /// Queue an encoded record line (newline included) for the writer.
+    /// `false` once the receiver is gone (the writer died): the session is
+    /// over, and producers stop instead of estimating items nobody will
+    /// read.
+    fn emit(&self, line: String) -> bool {
+        if self.sender.send(line).is_ok() {
             self.emitted.fetch_add(1, Ordering::Relaxed);
             true
         } else {
             false
         }
+    }
+
+    /// Emit `{"job": id, ...}`, the members after the id written by
+    /// `fields` — every job record leads with its job id.
+    fn job(&self, id: &Value, fields: impl FnOnce(&mut Writer)) -> bool {
+        self.emit(record_line(|w| {
+            w.field("job", id);
+            fields(w);
+        }))
+    }
+
+    /// Emit a job-level `{"job": id, "status": "error", "message": ..}`.
+    fn error(&self, id: &Value, message: &str) -> bool {
+        self.job(id, |w| crate::write_error(w, message))
     }
 }
 
@@ -387,7 +404,7 @@ where
 {
     let options = shared.options();
     let admission = qre_par::Semaphore::new(options.max_in_flight);
-    let (sender, receiver) = mpsc::sync_channel::<Value>(options.writer_buffer.max(1));
+    let (sender, receiver) = mpsc::sync_channel::<String>(options.writer_buffer.max(1));
     let emitted = Arc::new(AtomicUsize::new(0));
     let job_errors = AtomicUsize::new(0);
     // Set by the writer thread when the output dies (e.g. a downstream
@@ -403,12 +420,10 @@ where
             let output_dead = &output_dead;
             move || -> Result<usize, String> {
                 let mut written = 0usize;
-                for record in receiver {
+                for line in receiver {
                     // One write per record, newline included: a record split
                     // across two writes leaves its tail waiting on the
                     // peer's delayed ACK on a socket.
-                    let mut line = record.to_string_compact();
-                    line.push('\n');
                     if let Err(e) = output
                         .write_all(line.as_bytes())
                         .and_then(|()| output.flush())
@@ -573,38 +588,18 @@ fn save_store(store: &FactoryCache, path: &Path) -> usize {
     }
 }
 
-/// Concatenate two JSON objects' fields (`head`'s first); a non-object
-/// `tail` passes through unchanged.
-pub(crate) fn merge_objects(head: Value, tail: Value) -> Value {
-    match (head, tail) {
-        (Value::Object(mut pairs), Value::Object(tail)) => {
-            pairs.extend(tail);
-            Value::Object(pairs)
-        }
-        (_, v) => v,
-    }
-}
-
-/// Emit `{"job": id, ...tail}` — every serve record leads with its job id.
-fn job_record(id: &Value, tail: Value) -> Value {
-    merge_objects(ObjectBuilder::new().field("job", id.clone()).build(), tail)
-}
-
-fn error_record(id: &Value, message: String) -> Value {
-    job_record(id, crate::error_object(message))
-}
-
 /// The session-opening lifecycle record: identity plus the store size, so a
 /// client can see at connect time whether it joined a warm service.
-fn hello_record(config: &SessionConfig, shared: &ServeShared) -> Value {
-    let mut hello = ObjectBuilder::new()
-        .field("session", config.session)
-        .field("protocol", "qre-serve/1");
-    if let Some(peer) = &config.peer {
-        hello = hello.field("peer", peer.as_str());
-    }
-    hello = hello.field("designs", shared.store().stats().entries as u64);
-    ObjectBuilder::new().field("hello", hello.build()).build()
+fn hello_record(config: &SessionConfig, shared: &ServeShared) -> String {
+    record_line(|w| {
+        w.key("hello");
+        w.object(|w| {
+            w.field("session", config.session);
+            w.field("protocol", "qre-serve/1");
+            w.field_opt("peer", config.peer.as_ref());
+            w.field("designs", shared.store().stats().entries);
+        });
+    })
 }
 
 /// The session-closing lifecycle record: the session summary, written after
@@ -615,15 +610,18 @@ fn bye_record(
     jobs: usize,
     job_errors: usize,
     records: usize,
-) -> Value {
-    let bye = ObjectBuilder::new()
-        .field("session", config.session)
-        .field("jobs", jobs as u64)
-        .field("jobErrors", job_errors as u64)
-        // Job records queued before this bye (the hello included).
-        .field("records", records as u64)
-        .field("drained", shared.shutdown.is_signalled());
-    ObjectBuilder::new().field("bye", bye.build()).build()
+) -> String {
+    record_line(|w| {
+        w.key("bye");
+        w.object(|w| {
+            w.field("session", config.session);
+            w.field("jobs", jobs);
+            w.field("jobErrors", job_errors);
+            // Job records queued before this bye (the hello included).
+            w.field("records", records);
+            w.field("drained", shared.shutdown.is_signalled());
+        });
+    })
 }
 
 /// Handle a `{"control": ...}` line inline on the session reader. Returns
@@ -635,29 +633,23 @@ fn run_control(doc: &Value, ordinal: usize, shared: &ServeShared, sink: &RecordS
         match v {
             Value::Str(_) | Value::Num(_) => id = v.clone(),
             _ => {
-                sink.emit(error_record(
-                    &id,
-                    "invalid job: serve `id` must be a string or a number".into(),
-                ));
+                sink.error(&id, "invalid job: serve `id` must be a string or a number");
                 return false;
             }
         }
     }
     if let Err(e) = crate::check_fields(doc, "", &["id", "control"]) {
-        sink.emit(error_record(&id, format!("invalid job: {e}")));
+        sink.error(&id, &format!("invalid job: {e}"));
         return false;
     }
     match doc.get("control").and_then(Value::as_str) {
         Some("shutdown") => {
             // Acknowledge first, then raise the drain switch: the ack is
             // this session's receipt that no later job will be read.
-            sink.emit(job_record(
-                &id,
-                ObjectBuilder::new()
-                    .field("control", "shutdown")
-                    .field("status", "ok")
-                    .build(),
-            ));
+            sink.job(&id, |w| {
+                w.field("control", "shutdown");
+                w.field("status", "ok");
+            });
             shared.shutdown_signal().signal();
             true
         }
@@ -666,10 +658,10 @@ fn run_control(doc: &Value, ordinal: usize, shared: &ServeShared, sink: &RecordS
                 Some(name) => format!("`{name}`"),
                 None => "a non-string value".into(),
             };
-            sink.emit(error_record(
+            sink.error(
                 &id,
-                format!("invalid job: unknown control command {got}; accepted: shutdown"),
-            ));
+                &format!("invalid job: unknown control command {got}; accepted: shutdown"),
+            );
             false
         }
     }
@@ -742,21 +734,17 @@ fn run_serve_job(
     search_stats: bool,
     sink: &RecordSink,
 ) -> bool {
-    let mut emit = |record: Value| sink.emit(record);
     let doc = match qre_json::parse(line) {
         Ok(doc) => doc,
         Err(e) => {
-            emit(error_record(
-                &Value::from(ordinal as u64),
-                format!("invalid job: {e}"),
-            ));
+            sink.error(&Value::from(ordinal), &format!("invalid job: {e}"));
             return false;
         }
     };
     let envelope = match parse_envelope(doc, ordinal) {
         Ok(envelope) => envelope,
         Err((id, message)) => {
-            emit(error_record(&id, format!("invalid job: {message}")));
+            sink.error(&id, &format!("invalid job: {message}"));
             return false;
         }
     };
@@ -764,7 +752,7 @@ fn run_serve_job(
     let submission = match crate::parse_submission_value(&envelope.submission) {
         Ok(submission) => submission,
         Err(e) => {
-            emit(error_record(&id, format!("invalid job: {e}")));
+            sink.error(&id, &format!("invalid job: {e}"));
             return false;
         }
     };
@@ -772,33 +760,30 @@ fn run_serve_job(
     // One engine per job over the shared design store: hits and misses are
     // counted exactly for this job, however many jobs run concurrently.
     let engine = Estimator::with_cache(Arc::new(store.scoped()));
-    match execute(&engine, submission, envelope.shard, &id, &mut emit) {
+    match execute(&engine, submission, envelope.shard, &id, sink) {
         Ok(counts) => {
-            emit(stats_record(
-                &id,
-                &engine,
-                envelope.shard,
-                counts,
-                search_stats,
-            ));
+            sink.job(&id, |w| {
+                write_stats(w, &engine, envelope.shard, counts, search_stats);
+            });
             true
         }
         Err(message) => {
-            emit(error_record(&id, message));
+            sink.error(&id, &message);
             false
         }
     }
 }
 
-/// Execute a submission's payload, emitting completion-order item records.
-/// When `emit` reports a dead session, batch and sweep execution stop after
-/// the in-flight items instead of finishing undeliverable work.
+/// Execute a submission's payload, emitting completion-order item records,
+/// each encoded on this (the job's) thread. When `sink` reports a dead
+/// session, batch and sweep execution stop after the in-flight items
+/// instead of finishing undeliverable work.
 fn execute(
     engine: &Estimator,
     submission: Submission,
     shard: Option<Shard>,
     id: &Value,
-    emit: &mut impl FnMut(Value) -> bool,
+    sink: &RecordSink,
 ) -> Result<ItemCounts, String> {
     if shard.is_some() && !matches!(submission.kind, SubmissionKind::Sweep(_)) {
         return Err("`shard` applies only to `sweep` jobs".into());
@@ -812,7 +797,7 @@ fn execute(
             return Ok(match crate::run_frontier_points_via(engine, &spec) {
                 Ok(points) => {
                     for (i, p) in points.iter().enumerate() {
-                        if !emit(job_record(id, crate::frontier_point_json(i, p))) {
+                        if !sink.job(id, |w| crate::write_frontier_point(w, i, p)) {
                             break;
                         }
                     }
@@ -822,7 +807,7 @@ fn execute(
                     }
                 }
                 Err(e) => {
-                    emit(error_record(id, e));
+                    sink.error(id, &e);
                     ItemCounts {
                         items: 1,
                         errors: 1,
@@ -834,12 +819,12 @@ fn execute(
             // Unlike the one-shot CLI, a failing single job must not end the
             // session: report it in place and keep serving.
             let errors = match crate::run_job_via(engine, &spec) {
-                Ok(value) => {
-                    emit(job_record(id, value));
+                Ok(output) => {
+                    sink.job(id, |w| output.write_fields(w));
                     0
                 }
                 Err(e) => {
-                    emit(error_record(id, e));
+                    sink.error(id, &e);
                     1
                 }
             };
@@ -854,43 +839,40 @@ fn execute(
             ItemRun::sweep(engine, &spec)?
         }
     };
-    Ok(items.run(engine, |record| emit(job_record(id, record))))
+    Ok(items.run(engine, |fields| sink.job(id, fields)))
 }
 
-/// The job's closing `"stats"` record.
-fn stats_record(
-    id: &Value,
+/// Write the job's closing `"stats"` member.
+fn write_stats(
+    w: &mut Writer,
     engine: &Estimator,
     shard: Option<Shard>,
     counts: ItemCounts,
     search_stats: bool,
-) -> Value {
+) {
     let cache = engine.cache_stats();
-    let mut stats = ObjectBuilder::new()
-        .field("items", counts.items as u64)
-        .field("errors", counts.errors as u64)
-        .field("cacheHits", cache.hits)
-        .field("cacheMisses", cache.misses)
-        .field("cacheEntries", cache.entries as u64)
+    w.key("stats");
+    w.object(|w| {
+        w.field("items", counts.items);
+        w.field("errors", counts.errors);
+        w.field("cacheHits", cache.hits);
+        w.field("cacheMisses", cache.misses);
+        w.field("cacheEntries", cache.entries);
         // Store-level, like `cacheEntries`: evictions since session start,
         // shared by every job over the bounded store (0 when unbounded).
-        .field("cacheEvictions", cache.evictions);
-    if search_stats {
-        // Per-job, like cacheHits/cacheMisses: this job's engine owns its
-        // scoped cache view, so the counters cover exactly its searches.
-        stats = stats.field("searchStats", crate::search_stats_json(engine));
-    }
-    if let Some(s) = shard {
-        stats = stats.field(
-            "shard",
-            ObjectBuilder::new()
-                .field("index", s.index as u64)
-                .field("count", s.count as u64)
-                .build(),
-        );
-    }
-    job_record(
-        id,
-        ObjectBuilder::new().field("stats", stats.build()).build(),
-    )
+        w.field("cacheEvictions", cache.evictions);
+        if search_stats {
+            // Per-job, like cacheHits/cacheMisses: this job's engine owns its
+            // scoped cache view, so the counters cover exactly its searches.
+            w.key("searchStats");
+            crate::write_search_stats(w, engine);
+        }
+        if let Some(s) = shard {
+            w.key("shard");
+            w.object(|w| {
+                w.field("index", s.index);
+                w.field("count", s.count);
+            });
+        }
+    });
 }

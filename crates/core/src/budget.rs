@@ -11,7 +11,7 @@
 //! explicitly (the tool's `errorBudget` object form).
 
 use crate::error::{Error, Result};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 
 /// A partitioned error budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +71,22 @@ impl ErrorBudget {
         self.logical + self.t_states + self.rotations
     }
 
-    /// Render as the `errorBudget` output group (Section IV-D.6).
+    /// Render as the `errorBudget` output group (Section IV-D.6), as
+    /// written by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("total", self.total())
-            .field("logical", self.logical)
-            .field("tStates", self.t_states)
-            .field("rotations", self.rotations)
-            .build()
+        qre_json::to_value(self)
+    }
+}
+
+/// The `errorBudget` output group (Section IV-D.6).
+impl WriteJson for ErrorBudget {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("total", self.total());
+            w.field("logical", self.logical);
+            w.field("tStates", self.t_states);
+            w.field("rotations", self.rotations);
+        });
     }
 }
 

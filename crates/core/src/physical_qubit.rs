@@ -13,7 +13,7 @@
 //! error 0.05 — the values encoded here.
 
 use crate::error::{Error, Result};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 
 /// The primitive instruction set of the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,29 +254,37 @@ impl PhysicalQubit {
         Ok(())
     }
 
-    /// Render as the `physicalQubit` output group (Section IV-D.7).
+    /// Render as the `physicalQubit` output group (Section IV-D.7), as
+    /// written by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("name", self.name.as_str())
-            .field("instructionSet", self.instruction_set.name())
-            .field("oneQubitGateTimeNs", self.one_qubit_gate_time_ns)
-            .field("twoQubitGateTimeNs", self.two_qubit_gate_time_ns)
-            .field(
+        qre_json::to_value(self)
+    }
+}
+
+/// The `physicalQubit` output group (Section IV-D.7).
+impl WriteJson for PhysicalQubit {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("instructionSet", self.instruction_set.name());
+            w.field("oneQubitGateTimeNs", self.one_qubit_gate_time_ns);
+            w.field("twoQubitGateTimeNs", self.two_qubit_gate_time_ns);
+            w.field(
                 "oneQubitMeasurementTimeNs",
                 self.one_qubit_measurement_time_ns,
-            )
-            .field(
+            );
+            w.field(
                 "twoQubitMeasurementTimeNs",
                 self.two_qubit_measurement_time_ns,
-            )
-            .field("tGateTimeNs", self.t_gate_time_ns)
-            .field("oneQubitGateError", self.one_qubit_gate_error)
-            .field("twoQubitGateError", self.two_qubit_gate_error)
-            .field("oneQubitMeasurementError", self.one_qubit_measurement_error)
-            .field("twoQubitMeasurementError", self.two_qubit_measurement_error)
-            .field("tGateError", self.t_gate_error)
-            .field("idleError", self.idle_error)
-            .build()
+            );
+            w.field("tGateTimeNs", self.t_gate_time_ns);
+            w.field("oneQubitGateError", self.one_qubit_gate_error);
+            w.field("twoQubitGateError", self.two_qubit_gate_error);
+            w.field("oneQubitMeasurementError", self.one_qubit_measurement_error);
+            w.field("twoQubitMeasurementError", self.two_qubit_measurement_error);
+            w.field("tGateError", self.t_gate_error);
+            w.field("idleError", self.idle_error);
+        });
     }
 }
 

@@ -26,7 +26,7 @@
 use crate::error::{Error, Result};
 use crate::physical_qubit::{InstructionSet, PhysicalQubit};
 use qre_expr::{Formula, Scope};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 
 /// Named selector for the built-in schemes (custom schemes are provided as a
 /// full [`QecScheme`] value).
@@ -243,20 +243,29 @@ impl QecScheme {
         })
     }
 
-    /// Render as the `logicalQubit` output-group preamble (Section IV-D.3).
+    /// Render as the `logicalQubit` output-group preamble (Section IV-D.3),
+    /// as written by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("name", self.name.as_str())
-            .field("instructionSet", self.instruction_set.name())
-            .field("errorCorrectionThreshold", self.error_correction_threshold)
-            .field("crossingPrefactor", self.crossing_prefactor)
-            .field("logicalCycleTime", self.logical_cycle_time.source())
-            .field(
+        qre_json::to_value(self)
+    }
+}
+
+/// The `qecScheme` member of the `logicalQubit` output group (Section
+/// IV-D.3).
+impl WriteJson for QecScheme {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("instructionSet", self.instruction_set.name());
+            w.field("errorCorrectionThreshold", self.error_correction_threshold);
+            w.field("crossingPrefactor", self.crossing_prefactor);
+            w.field("logicalCycleTime", self.logical_cycle_time.source());
+            w.field(
                 "physicalQubitsPerLogicalQubit",
                 self.physical_qubits_per_logical_qubit.source(),
-            )
-            .field("maxCodeDistance", u64::from(self.max_code_distance))
-            .build()
+            );
+            w.field("maxCodeDistance", self.max_code_distance);
+        });
     }
 }
 

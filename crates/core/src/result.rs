@@ -5,7 +5,7 @@ use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{LogicalQubit, QecScheme};
 use crate::tfactory::TFactory;
 use qre_circuit::LogicalCounts;
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 use std::fmt::Write as _;
 
 /// Group 1: the headline physical resource estimates (Section IV-D.1).
@@ -76,64 +76,62 @@ pub struct EstimationResult {
 
 impl EstimationResult {
     /// Render all eight groups as a JSON document (the service's result
-    /// contract).
+    /// contract), as written by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        let physical_counts = ObjectBuilder::new()
-            .field("physicalQubits", self.physical_counts.physical_qubits)
-            .field("runtimeNs", self.physical_counts.runtime_ns)
-            .field("rqops", self.physical_counts.rqops)
-            .build();
+        qre_json::to_value(self)
+    }
+
+    /// Write the result document's members into an object the caller has
+    /// open: the single definition of the eight groups and their order.
+    /// Records that lead with their own fields (a serve job id, a batch
+    /// index) splice the result in through this.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.field("status", "success");
+        w.key("physicalCounts");
+        w.object(|w| {
+            w.field("physicalQubits", self.physical_counts.physical_qubits);
+            w.field("runtimeNs", self.physical_counts.runtime_ns);
+            w.field("rqops", self.physical_counts.rqops);
+        });
         let b = &self.breakdown;
-        let breakdown = ObjectBuilder::new()
-            .field("algorithmicLogicalQubits", b.algorithmic_logical_qubits)
-            .field("algorithmicLogicalDepth", b.algorithmic_depth)
-            .field("numCycles", b.num_cycles)
-            .field("logicalDepthFactor", b.logical_depth_factor)
-            .field("clockFrequencyHz", b.clock_frequency_hz)
-            .field("numTstates", b.num_t_states)
-            .field("numTfactories", b.num_t_factories)
-            .field("numTfactoryRuns", b.num_t_factory_runs)
-            .field(
+        w.key("breakdown");
+        w.object(|w| {
+            w.field("algorithmicLogicalQubits", b.algorithmic_logical_qubits);
+            w.field("algorithmicLogicalDepth", b.algorithmic_depth);
+            w.field("numCycles", b.num_cycles);
+            w.field("logicalDepthFactor", b.logical_depth_factor);
+            w.field("clockFrequencyHz", b.clock_frequency_hz);
+            w.field("numTstates", b.num_t_states);
+            w.field("numTfactories", b.num_t_factories);
+            w.field("numTfactoryRuns", b.num_t_factory_runs);
+            w.field(
                 "physicalQubitsForAlgorithm",
                 b.physical_qubits_for_algorithm,
-            )
-            .field(
+            );
+            w.field(
                 "physicalQubitsForTfactories",
                 b.physical_qubits_for_t_factories,
-            )
-            .field(
+            );
+            w.field(
                 "requiredLogicalQubitErrorRate",
                 b.required_logical_error_rate,
-            )
-            .field_opt("requiredTstateErrorRate", b.required_t_state_error_rate)
-            .field("numTstatesPerRotation", b.t_states_per_rotation)
-            .build();
-        let lq = ObjectBuilder::new()
-            .field("codeDistance", u64::from(self.logical_qubit.code_distance))
-            .field("physicalQubits", self.logical_qubit.physical_qubits)
-            .field("logicalCycleTimeNs", self.logical_qubit.cycle_time_ns)
-            .field("logicalErrorRate", self.logical_qubit.logical_error_rate)
-            .field("qecScheme", self.qec_scheme.to_json())
-            .build();
-        ObjectBuilder::new()
-            .field("status", "success")
-            .field("physicalCounts", physical_counts)
-            .field("breakdown", breakdown)
-            .field("logicalQubit", lq)
-            .field_opt("tfactory", self.t_factory.as_ref().map(TFactory::to_json))
-            .field("preLayoutLogicalResources", self.pre_layout.to_json())
-            .field("errorBudget", self.error_budget.to_json())
-            .field("physicalQubitParameters", self.physical_qubit.to_json())
-            .field(
-                "assumptions",
-                Value::Array(
-                    self.assumptions
-                        .iter()
-                        .map(|a| Value::Str(a.clone()))
-                        .collect(),
-                ),
-            )
-            .build()
+            );
+            w.field_opt("requiredTstateErrorRate", b.required_t_state_error_rate);
+            w.field("numTstatesPerRotation", b.t_states_per_rotation);
+        });
+        w.key("logicalQubit");
+        w.object(|w| {
+            w.field("codeDistance", self.logical_qubit.code_distance);
+            w.field("physicalQubits", self.logical_qubit.physical_qubits);
+            w.field("logicalCycleTimeNs", self.logical_qubit.cycle_time_ns);
+            w.field("logicalErrorRate", self.logical_qubit.logical_error_rate);
+            w.field("qecScheme", &self.qec_scheme);
+        });
+        w.field_opt("tfactory", self.t_factory.as_ref());
+        w.field("preLayoutLogicalResources", self.pre_layout);
+        w.field("errorBudget", self.error_budget);
+        w.field("physicalQubitParameters", &self.physical_qubit);
+        w.field("assumptions", self.assumptions.as_slice());
     }
 
     /// Human-readable report covering every output group.
@@ -332,6 +330,13 @@ impl EstimationResult {
             let _ = writeln!(out, "  - {a}");
         }
         out
+    }
+}
+
+/// The result document: every output group of Section IV-D.
+impl WriteJson for EstimationResult {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| self.write_fields(w));
     }
 }
 

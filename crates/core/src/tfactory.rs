@@ -67,7 +67,7 @@ use crate::error::{Error, Result};
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{DistanceTable, QecScheme};
 use qre_expr::{Formula, Scope};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Value, WriteJson, Writer};
 use std::cmp::Ordering;
 
 /// Physical-level execution parameters of a unit.
@@ -214,39 +214,45 @@ impl TFactory {
         self.physical_qubits as f64 * self.duration_ns
     }
 
-    /// Render as the `tfactory` output group (Section IV-D.4).
+    /// Render as the `tfactory` output group (Section IV-D.4), as written
+    /// by [`WriteJson`].
     pub fn to_json(&self) -> Value {
-        let rounds: Vec<Value> = self
-            .rounds
-            .iter()
-            .map(|r| {
-                ObjectBuilder::new()
-                    .field("unit", r.unit_name.as_str())
-                    .field(
-                        "codeDistance",
-                        match r.level {
-                            RoundLevel::Physical => 0u64,
-                            RoundLevel::Logical { code_distance } => u64::from(code_distance),
-                        },
-                    )
-                    .field("copies", r.copies)
-                    .field("inputErrorRate", r.input_error_rate)
-                    .field("outputErrorRate", r.output_error_rate)
-                    .field("failureProbability", r.failure_probability)
-                    .field("physicalQubitsPerUnit", r.physical_qubits_per_unit)
-                    .field("durationNs", r.duration_ns)
-                    .build()
-            })
-            .collect();
-        ObjectBuilder::new()
-            .field("numRounds", self.rounds.len())
-            .field("physicalQubits", self.physical_qubits)
-            .field("durationNs", self.duration_ns)
-            .field("inputErrorRate", self.input_error_rate)
-            .field("outputErrorRate", self.output_error_rate)
-            .field("outputTStates", self.output_t_states)
-            .field("rounds", Value::Array(rounds))
-            .build()
+        qre_json::to_value(self)
+    }
+}
+
+/// The `tfactory` output group (Section IV-D.4).
+impl WriteJson for TFactory {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("numRounds", self.rounds.len());
+            w.field("physicalQubits", self.physical_qubits);
+            w.field("durationNs", self.duration_ns);
+            w.field("inputErrorRate", self.input_error_rate);
+            w.field("outputErrorRate", self.output_error_rate);
+            w.field("outputTStates", self.output_t_states);
+            w.key("rounds");
+            w.array(|w| {
+                for r in &self.rounds {
+                    w.object(|w| {
+                        w.field("unit", &r.unit_name);
+                        w.field(
+                            "codeDistance",
+                            match r.level {
+                                RoundLevel::Physical => 0,
+                                RoundLevel::Logical { code_distance } => code_distance,
+                            },
+                        );
+                        w.field("copies", r.copies);
+                        w.field("inputErrorRate", r.input_error_rate);
+                        w.field("outputErrorRate", r.output_error_rate);
+                        w.field("failureProbability", r.failure_probability);
+                        w.field("physicalQubitsPerUnit", r.physical_qubits_per_unit);
+                        w.field("durationNs", r.duration_ns);
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -9,8 +9,15 @@
 //!
 //! * [`Value`] — an owned JSON document model with ergonomic accessors,
 //! * [`parse`] — a strict recursive-descent parser with precise error positions,
-//! * [`Value::to_string_pretty`] / [`Value::to_string_compact`] — deterministic
-//!   printers whose number formatting round-trips `f64` exactly,
+//! * [`Writer`] — the one encoder: a streaming writer that appends compact
+//!   or pretty JSON to a `String` while the caller walks its data, with
+//!   number formatting that round-trips `f64` exactly,
+//! * [`WriteJson`] — implemented by each record type as the single
+//!   definition of its fields and their order, so a result renders straight
+//!   to text with no intermediate tree ([`to_value`] derives the tree form
+//!   where a caller wants to inspect it),
+//! * [`Value::to_string_pretty`] / [`Value::to_string_compact`] — walks of a
+//!   document over the same writer, byte-identical to writing it directly,
 //! * [`ObjectBuilder`] — an order-preserving object builder, so emitted result
 //!   groups appear in the same order the paper lists them.
 //!
@@ -38,6 +45,7 @@ mod print;
 mod value;
 
 pub use parse::{parse, ParseError};
+pub use print::{to_value, WriteJson, Writer};
 pub use value::{Number, ObjectBuilder, Value};
 
 // Property-based tests, on the in-repo `qre-proptest` harness (its library

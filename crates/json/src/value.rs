@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::Writer;
+
 /// A JSON number.
 ///
 /// JSON itself has a single number type; we preserve whether the value was an
@@ -168,31 +170,16 @@ impl Value {
 
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        crate::print::write_compact(self, &mut out);
-        out
+        let mut w = Writer::compact();
+        w.value(self);
+        w.into_string()
     }
 
     /// Human-readable rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        crate::print::write_pretty(self, 0, &mut out);
-        out
-    }
-
-    /// Pretty rendering as if this value sat `indent` two-space levels deep
-    /// inside a larger document (continuation lines are indented
-    /// accordingly; the first line carries no leading indent, exactly as
-    /// [`Value::to_string_pretty`] renders nested values).
-    ///
-    /// This is the building block for streaming writers that emit a large
-    /// document incrementally — e.g. a 10k-item sweep document written one
-    /// item at a time — while staying byte-identical to pretty-printing the
-    /// assembled document in one go.
-    pub fn to_string_pretty_indented(&self, indent: usize) -> String {
-        let mut out = String::new();
-        crate::print::write_pretty(self, indent, &mut out);
-        out
+        let mut w = Writer::pretty(0);
+        w.value(self);
+        w.into_string()
     }
 }
 

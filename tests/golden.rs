@@ -185,7 +185,8 @@ fn frontier_searched_windowed_512_gate_ns_e3() {
 }
 
 /// The fixtures themselves must stay in sync with this test file: every
-/// fixture present is produced by exactly one test above.
+/// fixture present is produced by exactly one test above, or by
+/// `tests/serve_compact.rs` for the serve session's compact bytes.
 #[test]
 fn fixture_directory_has_no_strays() {
     if regen_requested() {
@@ -198,6 +199,7 @@ fn fixture_directory_has_no_strays() {
         "windowed_512_gate_ns_e3_surface.json",
         "karatsuba_256_maj_ns_e4_floquet.json",
         "frontier_searched_windowed_512_gate_ns_e3.json",
+        "serve_session_compact.ndjson",
     ];
     let mut found: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("failed to list {}: {e}", dir.display()))

@@ -429,6 +429,30 @@ fn session_writes_each_record_with_one_write() {
 }
 
 #[test]
+fn streamed_submission_writes_each_record_with_one_write() {
+    // The one-shot `"stream": true` path hands its NDJSON to a caller's
+    // `Write`, which may be an unbuffered socket: each record (items and
+    // progress alike), newline included, must be exactly one write.
+    let submission = qre_cli::parse_submission(
+        r#"{ "stream": true, "sweep": {
+            "algorithms": [ { "logicalCounts": { "numQubits": 10, "tCount": 100 } } ],
+            "errorBudgets": [ 1e-4 ] } }"#,
+    )
+    .unwrap();
+    let mut output = CountingWriter::default();
+    qre_cli::run_submission_streamed_via(&qre_core::Estimator::new(), &submission, &mut output)
+        .unwrap();
+    // 6 sweep items, 5 intermediate progress records and the final one.
+    assert_eq!(output.writes.len(), 12);
+    for write in &output.writes {
+        let text = std::str::from_utf8(write).unwrap();
+        let line = text.strip_suffix('\n').expect("write ends its record");
+        assert!(!line.contains('\n'), "one record per write: {text:?}");
+        qre_json::parse(line).expect("each write is one whole record");
+    }
+}
+
+#[test]
 fn blank_lines_are_skipped_and_empty_sessions_summarize() {
     let (summary, lines) = run_serve("\n   \n\n", &ServeOptions::default());
     assert_eq!(summary.jobs, 0);
