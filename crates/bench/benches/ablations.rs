@@ -60,7 +60,7 @@ fn bench_factory_round_depth(c: &mut Criterion) {
                     max_rounds: rounds,
                     ..TFactoryBuilder::default()
                 };
-                b.iter(|| builder.find_factories(&qubit, &scheme, 1e-10))
+                b.iter(|| builder.find_factory(&qubit, &scheme, 1e-10))
             },
         );
     }

@@ -57,13 +57,13 @@
 //! right shape for the paper's large Fig. 3/4-scale sweeps where waiting on
 //! the slowest item before printing anything wastes the session.
 //!
-//! Beyond one-shot submissions, [`serve`] runs a **long-lived job server**:
+//! Beyond one-shot submissions, [`serve()`] runs a **long-lived job server**:
 //! one JSON job per input line, completion-order NDJSON records out, a
 //! process-wide factory cache kept warm across jobs — optionally bounded
 //! ([`ServeOptions::cache_capacity`]) and persisted to a snapshot file
 //! between sessions ([`ServeOptions::cache_file`]) — and per-job `"shard"`
 //! fields so several server processes can split one sweep deterministically
-//! (see the [`serve`] module docs for the line protocol). The shard
+//! (`crates/cli/src/serve.rs` documents the line protocol). The shard
 //! sessions' output files are re-joined by [`merge_files`] (the `qre merge`
 //! verb), which validates that the union covers the sweep exactly.
 
@@ -408,22 +408,13 @@ fn write_submission_chunked(
         }
         SubmissionKind::Sweep(spec) => {
             let head = [("status", "success"), ("estimateType", "sweep")];
-            if spec.shard.is_some() {
-                // An already-sharded spec *is* the caller's bounded block
-                // (the serve fan-out path); run it as one chunk.
-                let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
-                let mut doc = ItemsDocWriter::open(out, compact, &head, outcomes.len())?;
-                for o in &outcomes {
-                    doc.item(|w| write_sweep_item(w, o))?;
-                }
-                return doc.finish();
-            }
             let total = spec.total_len().map_err(|e| e.to_string())?;
             let blocks = total.div_ceil(chunk).max(1);
             // Run the first block before emitting any output: expansion
-            // errors (an empty mandatory axis) are spec-global, so they
-            // either fail here — with stdout untouched, exactly like the
-            // collecting path — or nowhere.
+            // errors (an empty mandatory axis, or a spec that is already
+            // sharded) are spec-global, so they either fail here — with
+            // stdout untouched, exactly like the collecting path — or
+            // nowhere.
             let first = engine
                 .sweep(
                     &spec
@@ -855,6 +846,7 @@ fn parse_sweep(v: &Value) -> Result<SweepSpec, String> {
             .as_array()
             .ok_or("`sweep.qecSchemes` must be an array")?;
         for (i, s) in list.iter().enumerate() {
+            check_fields(s, &format!("qecSchemes[{i}]"), &["name"])?;
             let scheme = match s.get("name").and_then(Value::as_str) {
                 Some("default") => SweepScheme::ProfileDefault,
                 Some("surface_code") => SweepScheme::Kind(QecSchemeKind::SurfaceCode),
@@ -917,7 +909,10 @@ fn parse_algorithm(v: &Value) -> Result<LogicalCounts, String> {
     if let Some(counts) = v.get("logicalCounts") {
         return LogicalCounts::from_json(counts);
     }
-    if let Some(qir_text) = v.get("qir").and_then(Value::as_str) {
+    if let Some(qir_text) = v.get("qir") {
+        let qir_text = qir_text
+            .as_str()
+            .ok_or("`algorithm.qir` must be a string of QIR text")?;
         let circuit = qir::parse_qir(qir_text).map_err(|e| e.to_string())?;
         let counts = circuit.counts();
         if counts.num_qubits == 0 {
@@ -1184,6 +1179,12 @@ mod tests {
                 .unwrap()
                 .as_u64(),
             Some(1)
+        );
+        // A non-string `qir` is named as such, not reported as missing.
+        let err = parse_job(r#"{ "algorithm": { "qir": 5 } }"#).unwrap_err();
+        assert!(
+            err.contains("`algorithm.qir` must be a string of QIR text"),
+            "{err}"
         );
     }
 
@@ -1806,17 +1807,25 @@ mod tests {
     #[test]
     fn chunked_writer_failures_leave_stdout_untouched() {
         // A sweep whose expansion fails must produce no partial document,
-        // exactly like the collecting path.
-        let spec = SweepSpec::new().profile(PhysicalQubit::qubit_gate_ns_e3());
-        let submission = Submission {
-            stream: false,
-            kind: SubmissionKind::Sweep(Box::new(spec)),
-        };
+        // exactly like the collecting path: an empty mandatory axis, or a
+        // spec that is already sharded (the writer shards it into chunks).
+        let empty_axis = SweepSpec::new().profile(PhysicalQubit::qubit_gate_ns_e3());
+        let sharded = SweepSpec::new()
+            .workload("w", LogicalCounts::builder().logical_qubits(2).build())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .shard_of(0, 2)
+            .unwrap();
         let engine = Estimator::new();
-        let mut bytes = Vec::new();
-        let err = write_submission_via(&engine, &submission, &mut bytes, false).unwrap_err();
-        assert!(err.contains("workload"), "{err}");
-        assert!(bytes.is_empty(), "no partial output on a failed sweep");
+        for (spec, expected) in [(empty_axis, "workload"), (sharded, "already sharded")] {
+            let submission = Submission {
+                stream: false,
+                kind: SubmissionKind::Sweep(Box::new(spec)),
+            };
+            let mut bytes = Vec::new();
+            let err = write_submission_via(&engine, &submission, &mut bytes, false).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+            assert!(bytes.is_empty(), "no partial output on a failed sweep");
+        }
     }
 
     #[test]
@@ -1850,5 +1859,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("wormhole_code"), "{err}");
+        // Scheme entries reject unknown fields like the single-job `qecScheme`.
+        let err = parse_submission(
+            r#"{ "sweep": { "algorithms": [ { "logicalCounts": { "numQubits": 2 } } ],
+                 "qecSchemes": [ { "name": "surface_code", "extra": 1 } ] } }"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("`extra` in `qecSchemes[0]`"), "{err}");
     }
 }

@@ -3,7 +3,7 @@
 //! This module is the **session engine** behind both transports of `qre
 //! serve`: the single-client stdin/stdout pipe ([`serve`]) and the
 //! multi-client TCP listener (`qre serve --listen`, wired through
-//! [`crate::NetSession`] over the `qre-net` crate). Both run the same loop —
+//! [`crate::listen_serve`] over the `qre-net` crate). Both run the same loop —
 //! [`run_session`] — over one process-wide [`ServeShared`] state, mirroring
 //! the cloud submission loop of paper Section IV-A as a persistent local
 //! service: the shared factory-design store stays alive across jobs *and
@@ -133,10 +133,10 @@ pub struct ServeOptions {
     /// with one session the two gates coincide.
     pub global_jobs: Option<usize>,
     /// Bound on the records queued between a session's jobs and its writer
-    /// (`--writer-buf N`): a slow client blocks its jobs' record emission
-    /// (and, through the bounded execution layers underneath, the
-    /// estimation run-ahead) instead of buffering unbounded output in
-    /// memory. At least 1.
+    /// (64 from the CLI, which has no flag for it): a slow client blocks its
+    /// jobs' record emission (and, through the bounded execution layers
+    /// underneath, the estimation run-ahead) instead of buffering unbounded
+    /// output in memory. At least 1.
     pub writer_buffer: usize,
     /// Bound on the process-wide design store (`--cache-cap N`): at most
     /// this many designs are kept, evicting least-recently-used entries.

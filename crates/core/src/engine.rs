@@ -15,9 +15,8 @@
 //!
 //! * collecting — [`Estimator::sweep`] puts streamed outcomes back into
 //!   row-major order,
-//! * observer callbacks — [`Estimator::sweep_with`] /
-//!   [`Estimator::frontier_with`] hand each outcome to a closure in
-//!   completion order (progress bars, NDJSON),
+//! * observer callbacks — [`Estimator::sweep_with`] hands each outcome to a
+//!   closure in completion order (progress bars, NDJSON),
 //! * iterators — [`Estimator::sweep_stream`] moves execution to a
 //!   background thread and yields outcomes in completion order as an
 //!   [`Iterator`].
@@ -193,24 +192,7 @@ impl Estimator {
     /// cache: the factory design is computed once and reused by every
     /// factory-cap re-estimate.
     pub fn frontier(&self, request: &EstimateRequest) -> Result<Vec<FrontierPoint>> {
-        frontier_via(self, &request.estimation, |_| {})
-    }
-
-    /// Like [`Estimator::frontier`], streaming each factory-cap re-estimate
-    /// to `on_point` in completion order as the cap sweep executes (the
-    /// outcome's `point.constraints.max_t_factories` names the cap). The
-    /// returned vector is the Pareto-reduced frontier, as in
-    /// [`Estimator::frontier`]; observed outcomes include the dominated and
-    /// failed points the reduction later drops.
-    pub fn frontier_with<F>(
-        &self,
-        request: &EstimateRequest,
-        on_point: F,
-    ) -> Result<Vec<FrontierPoint>>
-    where
-        F: FnMut(&SweepOutcome),
-    {
-        frontier_via(self, &request.estimation, on_point)
+        frontier_via(self, &request.estimation)
     }
 
     /// Explore the two-axis (error-budget partition × factory-copy cap)
@@ -224,26 +206,7 @@ impl Estimator {
         request: &EstimateRequest,
         search: &PartitionSearch,
     ) -> Result<Vec<FrontierPoint>> {
-        frontier_searched_via(self, &request.estimation, search, |_| {})
-    }
-
-    /// Like [`Estimator::frontier_searched`], streaming every exploratory
-    /// re-estimate to `on_point` in completion order: first the
-    /// per-partition base estimates, then the full (partition × cap)
-    /// product (the outcome's `point.budget` and
-    /// `point.constraints.max_t_factories` name the coordinates). Observed
-    /// outcomes include the dominated and failed points the Pareto
-    /// reduction later drops.
-    pub fn frontier_searched_with<F>(
-        &self,
-        request: &EstimateRequest,
-        search: &PartitionSearch,
-        on_point: F,
-    ) -> Result<Vec<FrontierPoint>>
-    where
-        F: FnMut(&SweepOutcome),
-    {
-        frontier_searched_via(self, &request.estimation, search, on_point)
+        frontier_searched_via(self, &request.estimation, search)
     }
 
     /// Hit/miss/size counters of the factory cache.
@@ -265,20 +228,9 @@ impl Estimator {
         self.cache.search_counters()
     }
 
-    /// Drop every cached factory design.
-    pub fn clear_cache(&self) {
-        self.cache.clear()
-    }
-
     /// The underlying cache (for advanced composition).
     pub fn cache(&self) -> &FactoryCache {
         &self.cache
-    }
-
-    /// A shareable handle to the cache, for building sibling engines via
-    /// [`Estimator::with_cache`].
-    pub fn cache_handle(&self) -> Arc<FactoryCache> {
-        Arc::clone(&self.cache)
     }
 }
 

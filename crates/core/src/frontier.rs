@@ -42,22 +42,15 @@ pub struct FrontierPoint {
 }
 
 /// Frontier exploration through a caller-owned engine (the implementation
-/// behind [`Estimator::frontier`] and [`Estimator::frontier_with`]).
+/// behind [`Estimator::frontier`]).
 ///
 /// Returns points sorted by descending physical qubits (i.e. ascending
 /// runtime), reduced to the Pareto frontier. For T-free programs the result
-/// is the single unconstrained estimate. `on_point` observes each cap
-/// re-estimate in completion order, before the Pareto reduction drops
-/// dominated and failed points.
-pub(crate) fn frontier_via<F>(
+/// is the single unconstrained estimate.
+pub(crate) fn frontier_via(
     engine: &Estimator,
     estimation: &PhysicalResourceEstimation,
-    on_point: F,
-) -> Result<Vec<FrontierPoint>>
-where
-    F: FnMut(&crate::engine::SweepOutcome),
-{
-    let mut on_point = on_point;
+) -> Result<Vec<FrontierPoint>> {
     let base = estimation.estimate_with(engine.cache())?;
     let max_factories = base.breakdown.num_t_factories;
     if max_factories <= 1 {
@@ -71,36 +64,23 @@ where
     let caps = cap_ladder(max_factories);
 
     // The cap axis as a sweep over one scenario; infeasible caps report
-    // their error in place and are dropped below.
+    // their error in place and are dropped below. The cap axis is the only
+    // multi-valued axis, so the row-major outcomes line up with `caps`.
     let spec = scenario_spec(estimation)
         .budget(estimation.budget)
         .constraint_axis(caps.iter().map(|&cap| Constraints {
             max_t_factories: Some(cap),
             ..estimation.constraints
         }));
-    // The cap axis is the only multi-valued axis, so a sweep item's
-    // expansion index is its cap index; stream outcomes to the observer and
-    // stitch them back by that index.
-    let mut slots: Vec<Option<crate::engine::SweepOutcome>> =
-        (0..caps.len()).map(|_| None).collect();
-    engine.sweep_with(&spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        slots[index] = Some(outcome);
-    })?;
-
     let points: Vec<FrontierPoint> = caps
         .into_iter()
-        .zip(slots)
+        .zip(engine.sweep(&spec)?)
         .filter_map(|(cap, item)| {
-            item.expect("every sweep item delivered exactly once")
-                .outcome
-                .ok()
-                .map(|result| FrontierPoint {
-                    max_t_factories: cap,
-                    budget: estimation.budget,
-                    result,
-                })
+            item.outcome.ok().map(|result| FrontierPoint {
+                max_t_factories: cap,
+                budget: estimation.budget,
+                result,
+            })
         })
         .collect();
     Ok(pareto_reduce(points))
@@ -116,21 +96,11 @@ where
 /// subset of this one and the result weakly dominates it point-for-point.
 /// Returns points in the same descending-qubits order as [`frontier_via`],
 /// each carrying the partition that produced it.
-///
-/// `on_point` observes every exploratory re-estimate in completion order:
-/// first the per-partition unconstrained base estimates (one sweep over the
-/// budget axis), then the full (partition × cap) product (a second sweep,
-/// budgets outer and caps inner). Indices restart between the two sweeps.
-pub(crate) fn frontier_searched_via<F>(
+pub(crate) fn frontier_searched_via(
     engine: &Estimator,
     estimation: &PhysicalResourceEstimation,
     search: &PartitionSearch,
-    on_point: F,
-) -> Result<Vec<FrontierPoint>>
-where
-    F: FnMut(&crate::engine::SweepOutcome),
-{
-    let mut on_point = on_point;
+) -> Result<Vec<FrontierPoint>> {
     let has_rotations = estimation.counts.rotation_count > 0;
     let budgets = search.grid(&estimation.budget, has_rotations);
 
@@ -141,16 +111,10 @@ where
     let base_spec = scenario_spec(estimation)
         .budgets(budgets.iter().copied())
         .constraint(estimation.constraints);
-    let mut bases: Vec<Option<Result<EstimationResult>>> =
-        (0..budgets.len()).map(|_| None).collect();
-    engine.sweep_with(&base_spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        bases[index] = Some(outcome.outcome);
-    })?;
-    let bases: Vec<Result<EstimationResult>> = bases
+    let bases: Vec<Result<EstimationResult>> = engine
+        .sweep(&base_spec)?
         .into_iter()
-        .map(|slot| slot.expect("every sweep item delivered exactly once"))
+        .map(|item| item.outcome)
         .collect();
 
     // If no candidate partition is feasible, surface the estimation's own
@@ -173,37 +137,27 @@ where
     caps.dedup();
 
     // Phase 2: the full (partition × cap) product as one two-axis sweep.
-    // Expansion is row-major with budgets outer and constraints inner, so a
-    // sweep item's index is `budget_idx * caps.len() + cap_idx`.
+    // Row-major order puts budgets outer and constraints inner, so the
+    // outcomes line up with the same nested walk over `budgets` and `caps`.
     let spec = scenario_spec(estimation)
         .budgets(budgets.iter().copied())
         .constraint_axis(caps.iter().map(|&cap| Constraints {
             max_t_factories: Some(cap),
             ..estimation.constraints
         }));
-    let mut slots: Vec<Option<crate::engine::SweepOutcome>> =
-        (0..budgets.len() * caps.len()).map(|_| None).collect();
-    engine.sweep_with(&spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        slots[index] = Some(outcome);
-    })?;
-
-    let mut points: Vec<FrontierPoint> = Vec::new();
-    for (b_idx, budget) in budgets.iter().enumerate() {
-        for (c_idx, &cap) in caps.iter().enumerate() {
-            let slot = slots[b_idx * caps.len() + c_idx]
-                .take()
-                .expect("every sweep item delivered exactly once");
-            if let Ok(result) = slot.outcome {
-                points.push(FrontierPoint {
-                    max_t_factories: cap,
-                    budget: *budget,
-                    result,
-                });
-            }
-        }
-    }
+    let coordinates = budgets
+        .iter()
+        .flat_map(|budget| caps.iter().map(move |&cap| (*budget, cap)));
+    let points: Vec<FrontierPoint> = coordinates
+        .zip(engine.sweep(&spec)?)
+        .filter_map(|((budget, cap), item)| {
+            item.outcome.ok().map(|result| FrontierPoint {
+                max_t_factories: cap,
+                budget,
+                result,
+            })
+        })
+        .collect();
     Ok(pareto_reduce(points))
 }
 
@@ -314,17 +268,12 @@ mod tests {
 
     /// The fixed-partition frontier on a fresh engine.
     fn fixed_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
-        frontier_via(&Estimator::new(), estimation, |_| {})
+        frontier_via(&Estimator::new(), estimation)
     }
 
     /// The searched frontier on a fresh engine.
     fn searched_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
-        frontier_searched_via(
-            &Estimator::new(),
-            estimation,
-            &PartitionSearch::default(),
-            |_| {},
-        )
+        frontier_searched_via(&Estimator::new(), estimation, &PartitionSearch::default())
     }
 
     fn estimation() -> PhysicalResourceEstimation {
@@ -436,28 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn frontier_observer_sees_every_cap_outcome() {
-        let engine = Estimator::new();
-        let mut observed = Vec::new();
-        let frontier = frontier_via(&engine, &estimation(), |o| {
-            observed.push((o.point.index, o.outcome.is_ok()));
-        })
-        .unwrap();
-        // Every cap re-estimate is observed (pre-reduction), so at least as
-        // many outcomes as surviving frontier points, each exactly once.
-        assert!(observed.len() >= frontier.len());
-        let mut indices: Vec<usize> = observed.iter().map(|&(i, _)| i).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..observed.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn searched_frontier_weakly_dominates_fixed() {
         let engine = Estimator::new();
         let est = estimation();
-        let fixed = frontier_via(&engine, &est, |_| {}).unwrap();
-        let searched =
-            frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {}).unwrap();
+        let fixed = frontier_via(&engine, &est).unwrap();
+        let searched = frontier_searched_via(&engine, &est, &PartitionSearch::default()).unwrap();
         for p in &fixed {
             let dominated = searched.iter().any(|q| {
                 q.result.physical_counts.physical_qubits <= p.result.physical_counts.physical_qubits
@@ -498,9 +430,8 @@ mod tests {
         let engine = Estimator::new();
         let est = estimation();
         assert_eq!(est.counts.rotation_count, 0);
-        let fixed = frontier_via(&engine, &est, |_| {}).unwrap();
-        let searched =
-            frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {}).unwrap();
+        let fixed = frontier_via(&engine, &est).unwrap();
+        let searched = frontier_searched_via(&engine, &est, &PartitionSearch::default()).unwrap();
         let min_qubits = |f: &[FrontierPoint]| {
             f.iter()
                 .map(|p| p.result.physical_counts.physical_qubits)
@@ -559,22 +490,5 @@ mod tests {
             searched[0].result.physical_counts.physical_qubits
                 <= fixed[0].result.physical_counts.physical_qubits
         );
-    }
-
-    #[test]
-    fn searched_frontier_observer_sees_both_phases() {
-        let engine = Estimator::new();
-        let mut observed = 0usize;
-        let est = estimation();
-        let grid_len = PartitionSearch::default().grid(&est.budget, false).len();
-        let searched = frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {
-            observed += 1;
-        })
-        .unwrap();
-        // Phase 1 contributes one outcome per grid partition; phase 2 the
-        // full (partition × cap) product.
-        assert!(observed > grid_len);
-        assert_eq!((observed - grid_len) % grid_len, 0);
-        assert!(searched.len() <= observed);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! 1. **Pre-layout counts** arrive as [`qre_circuit::LogicalCounts`] (from
 //!    the circuit tracer, the QIR front end, or direct user input).
-//! 2. **Layout** ([`layout`]): planar-ISA qubit overhead, algorithmic depth,
+//! 2. **Layout** ([`layout()`]): planar-ISA qubit overhead, algorithmic depth,
 //!    and T-state demand (Section III-B).
 //! 3. **Error correction** ([`QecScheme`]): code-distance selection from the
 //!    failure model `a·(p/p*)^((d+1)/2)` (Section III-C).
@@ -25,8 +25,8 @@
 //! A sweep is the engine's one multi-item path: its items are decoded from
 //! their row-major index on the parallel workers, with order-preserving,
 //! per-item outcomes. Sweeps also have *streamed* forms delivering outcomes
-//! in completion order: observer callbacks ([`Estimator::sweep_with`],
-//! [`Estimator::frontier_with`]) and a background-thread iterator
+//! in completion order: an observer callback ([`Estimator::sweep_with`])
+//! and a background-thread iterator
 //! ([`Estimator::sweep_stream`]). A single estimate is an
 //! [`EstimateRequest`] run by [`Estimator::estimate`] (see the [`Estimator`]
 //! example).

@@ -377,10 +377,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The branch-and-bound pipeline searcher is an exact optimisation of
-    /// exhaustive enumeration: identical Pareto frontier, identical
-    /// minimal-volume winner (or identical infeasibility), and identical
-    /// winner again when the incumbent is seeded with an achievable bound —
-    /// over random unit sets (physical-only, logical-only, multi-output,
+    /// exhaustive enumeration: identical minimal-volume winner (or identical
+    /// infeasibility), and identical winner again when the incumbent is
+    /// seeded with an achievable bound — over random unit sets (physical-only, logical-only, multi-output,
     /// `first_round_only`), random search limits, and requirements spanning
     /// trivially reachable to unreachable.
     #[test]
@@ -399,10 +398,6 @@ proptest! {
             max_code_distance: 2 * half_distance + 1,
         };
         let required = 10f64.powi(-required_exp);
-
-        let frontier = builder.find_factories(&qubit, &scheme, required);
-        let reference = builder.find_factories_exhaustive(&qubit, &scheme, required);
-        prop_assert_eq!(&frontier, &reference, "Pareto frontier diverged");
 
         let (pruned, _stats) =
             builder.find_factory_with_stats(&qubit, &scheme, required, None);

@@ -421,19 +421,6 @@ impl SweepSpec {
         self
     }
 
-    /// Append the candidate-partition axis of a
-    /// [`crate::PartitionSearch`] grid over `base`'s total budget: the base
-    /// partition first, then the log-spaced ε_log/ε_dis splits, with ε_syn
-    /// charged only when `has_rotations`.
-    pub fn partition_axis(
-        self,
-        search: &crate::budget::PartitionSearch,
-        base: ErrorBudget,
-        has_rotations: bool,
-    ) -> Self {
-        self.budgets(search.grid(&base, has_rotations))
-    }
-
     /// Append a total error budget (split in thirds). Invalid totals surface
     /// as [`Error::InvalidInput`] on the affected sweep items.
     pub fn total_error_budget(mut self, total: f64) -> Self {

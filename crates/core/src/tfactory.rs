@@ -23,11 +23,11 @@
 //! sequentially and reuse space) and its runtime is the sum of round
 //! durations.
 //!
-//! [`TFactoryBuilder`] searches unit sequences and per-round code distances,
-//! keeps every pipeline meeting the required output error, and selects the
-//! one minimising the space-time volume `physical_qubits × duration` (the
-//! qubit/runtime trade-off knob of Section IV-C.4 then trades along the kept
-//! Pareto frontier).
+//! [`TFactoryBuilder`] searches unit sequences and per-round code distances
+//! and selects the pipeline meeting the required output error with the
+//! minimal space-time volume `physical_qubits × duration`. The qubit/runtime
+//! trade-off of Section IV-C.4 keeps this one design and caps how many
+//! copies of it run (the cap ladder of [`crate::Estimator::frontier`]).
 //!
 //! ## Search strategy: branch and bound, not enumeration
 //!
@@ -37,14 +37,12 @@
 //! top; see `docs/ARCHITECTURE.md` ("Pipeline search") for the full rules
 //! and why each is lossless:
 //!
-//! * **Optimistic completion bounds.** Every prefix carries lower bounds on
-//!   the qubits, duration, and volume of *any* factory completing it.
+//! * **Optimistic completion bound.** Every prefix carries a lower bound on
+//!   the volume of *any* factory completing it.
 //!   [`TFactoryBuilder::find_factory`] keeps the best factory found so far
 //!   (the *incumbent*, optionally seeded from a neighbouring design via
 //!   [`TFactoryBuilder::find_factory_with_stats`]) and discards prefixes
-//!   whose bound cannot beat it; [`TFactoryBuilder::find_factories`]
-//!   discards prefixes whose every completion is already strictly dominated
-//!   by a found factory.
+//!   whose bound cannot beat it.
 //! * **Same-depth dominance.** Two prefixes with bit-identical output error
 //!   complete identically, so the one that is round-for-round no wider, no
 //!   slower, and no less productive — and strictly faster in total — makes
@@ -56,12 +54,11 @@
 //!   per logical qubit, and cycle time for every odd distance once per
 //!   search instead of per candidate round.
 //!
-//! Both searches return byte-identical results to exhaustive enumeration,
-//! which is retained as [`TFactoryBuilder::find_factories_exhaustive`] /
-//! [`TFactoryBuilder::find_factory_exhaustive`] — the differential oracle
-//! for the `pruned_search_equals_exhaustive` property and the baseline the
-//! `tfactory_search` benches measure against. [`SearchStats`] counts what
-//! the pruning actually did.
+//! The search returns the same factory as exhaustive enumeration, which is
+//! retained as [`TFactoryBuilder::find_factory_exhaustive`] — the
+//! differential oracle for the `pruned_search_equals_exhaustive` property and
+//! the baseline the `tfactory_search` benches measure against.
+//! [`SearchStats`] counts what the pruning actually did.
 
 use crate::error::{Error, Result};
 use crate::physical_qubit::PhysicalQubit;
@@ -267,8 +264,7 @@ pub struct SearchStats {
     /// Candidate rounds evaluated (one unit-formula evaluation pair each).
     pub nodes_expanded: u64,
     /// Prefixes discarded because their optimistic completion bound could
-    /// not beat the incumbent (minimal-volume search) or was already
-    /// dominated by a found factory (frontier search).
+    /// not beat the incumbent.
     pub nodes_pruned_bound: u64,
     /// Prefixes discarded by the same-depth dominance rule.
     pub nodes_pruned_dominated: u64,
@@ -385,15 +381,13 @@ struct CompletionFloor {
     qubits: u64,
 }
 
-/// A search prefix: evaluated rounds plus cached optimistic lower bounds on
-/// any completion's footprint, duration, and volume.
+/// A search prefix: evaluated rounds plus a cached optimistic lower bound
+/// on any completion's volume.
 #[derive(Debug, Clone)]
 struct Prefix {
     rounds: Vec<EvalRound>,
     output_error: f64,
     duration_ns: f64,
-    qubits_lb: u64,
-    duration_lb: f64,
     volume_lb: f64,
 }
 
@@ -403,18 +397,17 @@ impl Prefix {
             rounds: Vec::new(),
             output_error: input_error,
             duration_ns: 0.0,
-            qubits_lb: 0,
-            duration_lb: 0.0,
             volume_lb: 0.0,
         }
     }
 
-    /// Extend by one evaluated round, recomputing the completion bounds.
+    /// Extend by one evaluated round, recomputing the completion bound.
     ///
-    /// The duration bound adds the cheapest possible further round; the
-    /// footprint bound runs the provisioning backward pass as if the
-    /// cheapest-demand unit followed (copies only grow as real suffixes
-    /// demand more), so both are true lower bounds over every completion.
+    /// The volume bound is the product of a duration bound, which adds the
+    /// cheapest possible further round, and a footprint bound, which runs
+    /// the provisioning backward pass as if the cheapest-demand unit followed
+    /// (copies only grow as real suffixes demand more); both factors are
+    /// true lower bounds over every completion.
     fn extend(&self, round: EvalRound, floor: &CompletionFloor) -> Self {
         let mut rounds = self.rounds.clone();
         rounds.push(round);
@@ -426,8 +419,6 @@ impl Prefix {
             rounds,
             output_error: round.output_error,
             duration_ns,
-            qubits_lb,
-            duration_lb,
             volume_lb,
         }
     }
@@ -456,9 +447,9 @@ fn distance_key(level: RoundLevel) -> u64 {
 }
 
 /// Deterministic content order on realised rounds — the tie-breaker that
-/// makes frontier and minimal-volume selection independent of discovery
-/// order (fields compare in the same direction the dominance rule prunes,
-/// so a dominating prefix's completions also sort first).
+/// makes minimal-volume selection independent of discovery order (fields
+/// compare in the same direction the dominance rule prunes, so a dominating
+/// prefix's completions also sort first).
 fn round_cmp(a: &FactoryRound, b: &FactoryRound) -> Ordering {
     a.physical_qubits_per_unit
         .cmp(&b.physical_qubits_per_unit)
@@ -543,84 +534,6 @@ impl<'a> SearchCtx<'a> {
 }
 
 impl TFactoryBuilder {
-    /// Find every pipeline (up to `max_rounds`) whose output error meets
-    /// `required`, reduced to the Pareto frontier over (qubits, duration).
-    /// Sorted by ascending physical qubits (thus descending duration).
-    ///
-    /// Runs the pruned branch-and-bound search; the result is byte-identical
-    /// to [`TFactoryBuilder::find_factories_exhaustive`].
-    pub fn find_factories(
-        &self,
-        qubit: &PhysicalQubit,
-        scheme: &QecScheme,
-        required: f64,
-    ) -> Vec<TFactory> {
-        self.find_factories_with_stats(qubit, scheme, required).0
-    }
-
-    /// [`TFactoryBuilder::find_factories`] plus the search counters.
-    pub fn find_factories_with_stats(
-        &self,
-        qubit: &PhysicalQubit,
-        scheme: &QecScheme,
-        required: f64,
-    ) -> (Vec<TFactory>, SearchStats) {
-        let input_error = qubit.t_gate_error;
-        let table = scheme.distance_table(qubit, self.max_code_distance);
-        let first = self.choice_ctxs(qubit, &table, true);
-        let later = self.choice_ctxs(qubit, &table, false);
-        let floor = completion_floor(&later);
-        let mut ctx = SearchCtx::new(&self.units);
-        let mut found: Vec<TFactory> = Vec::new();
-        let mut gen = vec![Prefix::root(input_error)];
-        for depth in 0..self.max_rounds {
-            if gen.is_empty() {
-                break;
-            }
-            let choices: &[ChoiceCtx] = if depth == 0 { &first } else { &later };
-            let deeper = depth + 1 < self.max_rounds && floor.is_some();
-            // Best-first within the wave: promising prefixes complete first,
-            // so the found set prunes the expensive tail sooner.
-            gen.sort_by(|a, b| a.volume_lb.total_cmp(&b.volume_lb));
-            let mut next: Vec<Prefix> = Vec::new();
-            for state in gen {
-                if depth > 0 && frontier_dominated(&found, state.qubits_lb, state.duration_lb) {
-                    ctx.stats.nodes_pruned_bound += 1;
-                    continue;
-                }
-                for c in choices {
-                    let Some((out, fail)) = ctx.eval(state.output_error, c) else {
-                        continue;
-                    };
-                    if out >= state.output_error {
-                        continue; // no progress: deeper rounds cannot help
-                    }
-                    let round = EvalRound::new(c, state.output_error, out, fail);
-                    if out <= required {
-                        ctx.stats.factories_realised += 1;
-                        found.push(realise_evals(
-                            &self.units,
-                            &state.rounds,
-                            round,
-                            input_error,
-                        ));
-                        // Deeper pipelines strictly add qubits and time.
-                    } else if deeper {
-                        let child = state.extend(round, floor.as_ref().expect("deeper"));
-                        if frontier_dominated(&found, child.qubits_lb, child.duration_lb) {
-                            ctx.stats.nodes_pruned_bound += 1;
-                        } else {
-                            next.push(child);
-                        }
-                    }
-                }
-            }
-            dominance_prune(&mut next, &mut ctx.stats);
-            gen = next;
-        }
-        (pareto(found), ctx.stats)
-    }
-
     /// The default factory: minimal space-time volume among all valid
     /// pipelines (ties broken toward fewer qubits, then shorter duration,
     /// then pipeline content, so the winner is fully deterministic).
@@ -717,37 +630,26 @@ impl TFactoryBuilder {
     }
 
     /// The original exhaustive enumerator, retained as the differential
-    /// oracle for the pruned search (and as the cold baseline the
-    /// `tfactory_search` benches measure pruning against). Same contract as
-    /// [`TFactoryBuilder::find_factories`]; every result is byte-identical.
-    pub fn find_factories_exhaustive(
-        &self,
-        qubit: &PhysicalQubit,
-        scheme: &QecScheme,
-        required: f64,
-    ) -> Vec<TFactory> {
-        let mut found: Vec<TFactory> = Vec::new();
-        let mut pipeline: Vec<RoundChoice> = Vec::new();
-        self.search_exhaustive(
-            qubit,
-            scheme,
-            required,
-            qubit.t_gate_error,
-            &mut pipeline,
-            &mut found,
-        );
-        pareto(found)
-    }
-
-    /// Exhaustive counterpart of [`TFactoryBuilder::find_factory`]: selects
-    /// by the same canonical order over the fully enumerated frontier.
+    /// oracle for [`TFactoryBuilder::find_factory`] (and as the cold baseline
+    /// the `tfactory_search` benches measure pruning against): enumerates
+    /// every valid pipeline, reduces them to the Pareto frontier, and
+    /// selects by the same canonical order. Every result is identical.
     pub fn find_factory_exhaustive(
         &self,
         qubit: &PhysicalQubit,
         scheme: &QecScheme,
         required: f64,
     ) -> Result<TFactory> {
-        self.find_factories_exhaustive(qubit, scheme, required)
+        let mut found: Vec<TFactory> = Vec::new();
+        self.search_exhaustive(
+            qubit,
+            scheme,
+            required,
+            qubit.t_gate_error,
+            &mut Vec::new(),
+            &mut found,
+        );
+        pareto(found)
             .into_iter()
             .min_by(canonical_cmp)
             .ok_or(Error::NoTFactory { required })
@@ -1039,17 +941,6 @@ fn completion_floor(later: &[ChoiceCtx]) -> Option<CompletionFloor> {
     })
 }
 
-/// True when every completion of a prefix with these bounds is strictly
-/// dominated by an already-found factory — i.e. some found `f` beats the
-/// bounds with at least one strict inequality, so no completion can enter
-/// the Pareto frontier (or tie a frontier point's coordinates).
-fn frontier_dominated(found: &[TFactory], qubits_lb: u64, duration_lb: f64) -> bool {
-    found.iter().any(|f| {
-        (f.physical_qubits < qubits_lb && f.duration_ns <= duration_lb)
-            || (f.physical_qubits <= qubits_lb && f.duration_ns < duration_lb)
-    })
-}
-
 /// Drop same-depth prefixes whose completions another prefix provably
 /// renders redundant.
 ///
@@ -1058,8 +949,8 @@ fn frontier_dominated(found: &[TFactory], qubits_lb: u64, duration_lb: f64) -> b
 /// same unit, `a` runs at no larger distance, no wider, no slower, with no
 /// worse per-copy yield — and strictly faster in total. Every completion
 /// of `b` is then matched by a completion of `a` that is no wider and
-/// strictly faster, so `b`'s completions can never appear in the exhaustive
-/// frontier or win minimal-volume selection.
+/// strictly faster, so `b`'s completions can never win minimal-volume
+/// selection.
 fn dominance_prune(gen: &mut Vec<Prefix>, stats: &mut SearchStats) {
     if gen.len() < 2 {
         return;
@@ -1212,28 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_is_pareto() {
-        let q = PhysicalQubit::qubit_maj_ns_e4();
-        let s = QecScheme::floquet_code();
-        let front = builder().find_factories(&q, &s, 1e-10);
-        assert!(!front.is_empty());
-        for w in front.windows(2) {
-            assert!(w[0].physical_qubits <= w[1].physical_qubits);
-            assert!(
-                w[0].duration_ns > w[1].duration_ns,
-                "non-Pareto pair: ({}, {}) then ({}, {})",
-                w[0].physical_qubits,
-                w[0].duration_ns,
-                w[1].physical_qubits,
-                w[1].duration_ns
-            );
-        }
-        for f in &front {
-            assert!(f.output_error_rate <= 1e-10);
-        }
-    }
-
-    #[test]
     fn tighter_requirements_cost_more_volume() {
         let q = PhysicalQubit::qubit_gate_ns_e4();
         let s = QecScheme::surface_code_gate_based();
@@ -1312,12 +1181,6 @@ mod tests {
         let b = builder();
         for (q, s) in paper_problems() {
             for required in [1e-6, 1e-8, 1e-10, 7.2e-12, 1e-14, 1e-60] {
-                assert_eq!(
-                    b.find_factories(&q, &s, required),
-                    b.find_factories_exhaustive(&q, &s, required),
-                    "frontier diverged for {} at {required}",
-                    q.name
-                );
                 let pruned = b.find_factory(&q, &s, required);
                 let exhaustive = b.find_factory_exhaustive(&q, &s, required);
                 match (&pruned, &exhaustive) {

@@ -8,7 +8,7 @@
 //! The crate provides:
 //!
 //! * [`Value`] — an owned JSON document model with ergonomic accessors,
-//! * [`parse`] — a strict recursive-descent parser with precise error positions,
+//! * [`parse()`] — a strict recursive-descent parser with precise error positions,
 //! * [`Writer`] — the one encoder: a streaming writer that appends compact
 //!   or pretty JSON to a `String` while the caller walks its data, with
 //!   number formatting that round-trips `f64` exactly,

@@ -14,9 +14,8 @@
 //!   claims the next index; no work item is ever processed twice),
 //! * a single streamed execution core over an item count and an index
 //!   closure ([`parallel_map_streamed_until`]) that hands `(index, result)`
-//!   pairs to the caller **as workers finish**; the slice entry points are
-//!   thin wrappers over it, and the collecting ones stitch those pairs back
-//!   into input order, so `parallel_map` is a drop-in replacement for
+//!   pairs to the caller **as workers finish**; [`parallel_map`] stitches
+//!   those pairs back into input order, so it is a drop-in replacement for
 //!   `iter().map().collect()`,
 //! * panics in workers propagate to the caller (the scope re-raises them on
 //!   join), preserving the fail-fast behaviour of sequential code.
@@ -57,7 +56,22 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_indexed(items, |_, item| f(item))
+    // Collecting is streaming plus order restoration: place each delivered
+    // pair at its recorded index.
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    parallel_map_streamed_until(
+        items.len(),
+        |i| f(&items[i]),
+        |i, r| {
+            debug_assert!(slots[i].is_none(), "index {i} produced twice");
+            slots[i] = Some(r);
+            std::ops::ControlFlow::Continue(())
+        },
+    );
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index processed exactly once"))
+        .collect()
 }
 
 thread_local! {
@@ -71,9 +85,9 @@ thread_local! {
 /// `true` while the current thread is inside a parallel worker's claim loop.
 ///
 /// Helpers that move work onto a dedicated thread (e.g. a streaming iterator
-/// driving [`parallel_map_streamed`] in the background) should capture this
-/// flag and replay it on the new thread via [`set_in_parallel_worker`], so
-/// the nested-parallelism guard survives the thread hop.
+/// driving [`parallel_map_streamed_until`] in the background) should capture
+/// this flag and replay it on the new thread via [`set_in_parallel_worker`],
+/// so the nested-parallelism guard survives the thread hop.
 pub fn in_parallel_worker() -> bool {
     IN_PARALLEL_WORKER.with(std::cell::Cell::get)
 }
@@ -82,54 +96,6 @@ pub fn in_parallel_worker() -> bool {
 /// [`in_parallel_worker`].
 pub fn set_in_parallel_worker(value: bool) {
     IN_PARALLEL_WORKER.with(|flag| flag.set(value));
-}
-
-/// Like [`parallel_map`], but `f` also receives the element index.
-pub fn parallel_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    // Collecting is streaming plus order restoration: place each delivered
-    // pair at its recorded index.
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    parallel_map_streamed(items, f, |i, r| {
-        debug_assert!(slots[i].is_none(), "index {i} produced twice");
-        slots[i] = Some(r);
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index processed exactly once"))
-        .collect()
-}
-
-/// Apply `f` to every element in parallel and hand `(index, result)` pairs
-/// to `on_item` **in completion order**, as workers finish: the slice form
-/// of [`parallel_map_streamed_until`] without early exit.
-///
-/// `on_item` runs on the calling thread, so it may close over `&mut` state
-/// without synchronization. Delivery order is nondeterministic under
-/// parallel execution; the index identifies the originating element. With a
-/// single worker (tiny input, `QRE_THREADS=1`, single-core machine, or a
-/// nested call from inside another parallel worker) the loop degrades to a
-/// sequential in-order pass. Panics raised by `f` propagate to the caller
-/// after already-finished items have been delivered.
-pub fn parallel_map_streamed<T, R, F, G>(items: &[T], f: F, mut on_item: G)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: FnMut(usize, R),
-{
-    parallel_map_streamed_until(
-        items.len(),
-        |i| f(i, &items[i]),
-        |i, r| {
-            on_item(i, r);
-            std::ops::ControlFlow::Continue(())
-        },
-    );
 }
 
 /// Bound on results queued between the parallel workers and the consuming
@@ -152,8 +118,15 @@ pub fn streamed_buffer_bound(threads: usize) -> usize {
 /// `f(i)` for each `i` in `0..n` in parallel and hand `(i, f(i))` pairs to
 /// `on_item` **in completion order**. Work is addressed by index, so a
 /// caller that decodes its items from their position (a sweep) never
-/// materialises them. Scheduling, nesting and panics behave as in
-/// [`parallel_map_streamed`].
+/// materialises them.
+///
+/// `on_item` runs on the calling thread, so it may close over `&mut` state
+/// without synchronization. Delivery order is nondeterministic under
+/// parallel execution; the index identifies the originating item. With a
+/// single worker (tiny input, `QRE_THREADS=1`, single-core machine, or a
+/// nested call from inside another parallel worker) the loop degrades to a
+/// sequential in-order pass. Panics raised by `f` propagate to the caller
+/// after already-finished items have been delivered.
 ///
 /// `on_item` can stop the run early by returning
 /// [`ControlFlow::Break`](std::ops::ControlFlow::Break): no further indices
@@ -420,6 +393,7 @@ pub fn current_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::ControlFlow;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -464,8 +438,16 @@ mod tests {
 
     #[test]
     fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a", "b", "c"];
-        let out = parallel_map_indexed(&items, |i, s| format!("{i}:{s}"));
+        let items = ["a", "b", "c"];
+        let mut out = vec![String::new(); items.len()];
+        parallel_map_streamed_until(
+            items.len(),
+            |i| format!("{i}:{}", items[i]),
+            |i, r| {
+                out[i] = r;
+                ControlFlow::Continue(())
+            },
+        );
         assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
     }
 
@@ -485,16 +467,14 @@ mod tests {
     fn streamed_delivers_every_index_with_its_result() {
         let items: Vec<u64> = (0..257).collect();
         let mut seen = vec![false; items.len()];
-        parallel_map_streamed(
-            &items,
-            |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 3
-            },
+        parallel_map_streamed_until(
+            items.len(),
+            |i| items[i] * 3,
             |i, r| {
                 assert!(!seen[i], "index {i} delivered twice");
                 seen[i] = true;
                 assert_eq!(r, items[i] * 3);
+                ControlFlow::Continue(())
             },
         );
         assert!(seen.iter().all(|&s| s));
@@ -508,15 +488,18 @@ mod tests {
         // completion order, not input order.
         let items: Vec<u64> = (0..64).collect();
         let mut order = Vec::new();
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
-                if x == 0 {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
+                if i == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(100));
                 }
-                x
+                items[i]
             },
-            |i, _| order.push(i),
+            |i, _| {
+                order.push(i);
+                ControlFlow::Continue(())
+            },
         );
         assert_eq!(order.len(), 64);
         if max_threads() > 1 {
@@ -531,7 +514,14 @@ mod tests {
         let ok = parallel_map(&outer, |&x| {
             let inner: Vec<u64> = (0..32).collect();
             let mut order = Vec::new();
-            parallel_map_streamed(&inner, |_, &y| x + y, |i, _| order.push(i));
+            parallel_map_streamed_until(
+                inner.len(),
+                |i| x + inner[i],
+                |i, _| {
+                    order.push(i);
+                    ControlFlow::Continue(())
+                },
+            );
             order == (0..32).collect::<Vec<usize>>()
         });
         assert!(ok.into_iter().all(|b| b));
@@ -553,7 +543,7 @@ mod tests {
             },
             |_, _| {
                 delivered += 1;
-                std::ops::ControlFlow::Break(())
+                ControlFlow::Break(())
             },
         );
         assert_eq!(delivered, 1, "no delivery after the break");
@@ -567,15 +557,15 @@ mod tests {
     #[should_panic(expected = "streamed boom")]
     fn streamed_panics_propagate() {
         let items: Vec<u64> = (0..128).collect();
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
-                if x == 99 {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
+                if items[i] == 99 {
                     panic!("streamed boom");
                 }
-                x
+                items[i]
             },
-            |_, _| {},
+            |_, _| ControlFlow::Continue(()),
         );
     }
 
@@ -678,11 +668,11 @@ mod tests {
         let mut delivered = 0usize;
         let threads = max_threads().min(n);
         let mut stalled_high_water = 0usize;
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
                 produced.fetch_add(1, Ordering::Relaxed);
-                x
+                items[i]
             },
             |_, _| {
                 if first {
@@ -691,6 +681,7 @@ mod tests {
                     stalled_high_water = produced.load(Ordering::Relaxed);
                 }
                 delivered += 1;
+                ControlFlow::Continue(())
             },
         );
         assert_eq!(delivered, n, "backpressure must not lose deliveries");

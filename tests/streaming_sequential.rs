@@ -16,7 +16,14 @@ fn qre_threads_1_degrades_to_in_order_sequential_delivery() {
     // The streaming core delivers in input order.
     let items: Vec<u64> = (0..64).collect();
     let mut order = Vec::new();
-    qre_par::parallel_map_streamed(&items, |_, &x| x * 2, |i, r| order.push((i, r)));
+    qre_par::parallel_map_streamed_until(
+        items.len(),
+        |i| items[i] * 2,
+        |i, r| {
+            order.push((i, r));
+            std::ops::ControlFlow::Continue(())
+        },
+    );
     let expected: Vec<(usize, u64)> = (0..64).map(|i| (i as usize, i * 2)).collect();
     assert_eq!(order, expected);
 
