@@ -64,7 +64,9 @@ fn usage() -> &'static str {
      \x20 --cache-file PATH load the factory-design store from PATH at start\n\
      \x20                   and save it (atomically) at session end; corrupt\n\
      \x20                   or version-mismatched files warn and start cold\n\
-     \x20 --cache-cap N     bound the store to N designs (LRU eviction)\n\
+     \x20 --cache-cap N     bound the store to N designs (LRU eviction); each\n\
+     \x20                   design answers a range of required T-state\n\
+     \x20                   errors, and a known-infeasible bound counts as one\n\
      \x20 --save-every N    with --cache-file, also save every N completed\n\
      \x20                   jobs (default 25; 0 = only at session end)\n\
      \x20 --search-stats    add a searchStats object (pipeline-search\n\

@@ -87,8 +87,10 @@
 //!
 //! * **Bounding** — [`ServeOptions::cache_capacity`] (`--cache-cap N`)
 //!   caps the store at `N` designs with least-recently-used eviction, so a
-//!   week-long session holds a fixed memory ceiling; the shared eviction
-//!   count is reported as `"cacheEvictions"` in every stats record.
+//!   week-long session holds a fixed memory ceiling; each design answers a
+//!   whole range of required T-state errors in its family, and a family's
+//!   infeasible bound counts as one design. The shared eviction count is
+//!   reported as `"cacheEvictions"` in every stats record.
 //! * **Persistence** — [`ServeOptions::cache_file`] (`--cache-file PATH`)
 //!   loads a snapshot when the [`ServeShared`] state is built (a missing
 //!   file is a normal cold start; a corrupt or version-mismatched file is
@@ -139,7 +141,9 @@ pub struct ServeOptions {
     /// output in memory. At least 1.
     pub writer_buffer: usize,
     /// Bound on the process-wide design store (`--cache-cap N`): at most
-    /// this many designs are kept, evicting least-recently-used entries.
+    /// this many designs are kept (each answers a range of required errors;
+    /// an infeasible bound counts as one), evicting least-recently-used
+    /// entries.
     /// `None` (the default) stores every design the session searches.
     pub cache_capacity: Option<usize>,
     /// Snapshot file for the design store (`--cache-file PATH`): loaded

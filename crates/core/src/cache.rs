@@ -5,17 +5,41 @@
 //! the most expensive stage of an estimate, and the paper's workloads repeat
 //! it constantly: a hardware-profile sweep re-designs factories per profile,
 //! and the Pareto frontier re-runs the *same* design for every factory-copy
-//! cap. [`FactoryCache`] memoizes designs keyed by everything the search
-//! depends on — the physical qubit model's numeric parameters, the QEC
-//! scheme's constants and formula sources, the search configuration
-//! (distillation units, round/distance limits), and the required T-state
-//! output error — so a warm [`crate::Estimator`] skips the search entirely
-//! for repeated scenarios.
+//! cap. [`FactoryCache`] memoizes designs so a warm [`crate::Estimator`]
+//! skips the search entirely for repeated scenarios.
 //!
-//! Both successful designs and deterministic failures
-//! ([`Error::NoTFactory`]) are cached; the search is a pure function of the
-//! key. The cache is internally synchronized and safe to share across the
-//! worker threads of a parallel batch.
+//! ## Families and intervals
+//!
+//! The store is keyed by design *family*: everything the search depends on
+//! except the required T-state output error — the physical qubit model's
+//! numeric parameters, the QEC scheme's constants and formula sources, and
+//! the search configuration (distillation units, round/distance limits).
+//! The search stops each pipeline at the first round whose output error
+//! meets the requirement (`out <= required`), so a family has only a handful
+//! of distinct designs, and each answers a whole range of required errors:
+//! if design D is the answer at ε′, it is also the answer at every ε with
+//! `D.output_error_rate ≤ ε ≤ ε′`. Failures are monotone too: a pipeline
+//! that meets a tighter requirement has a prefix that meets a looser one,
+//! so if no factory exists at ε, none exists at any tighter ε.
+//!
+//! Each family therefore stores a list of intervals `[lo, hi]`, sorted by
+//! `lo` and pairwise disjoint, where `lo` is the design's own output error
+//! and `hi` the loosest required error it has answered — plus at most one
+//! *infeasible bound*: no factory exists at or below it. A lookup is one
+//! family probe plus a binary search. A search runs only when the required
+//! error falls in a gap, and its result either widens the matching design's
+//! `hi`, inserts a new interval, or raises the infeasible bound.
+//!
+//! A gap search is seeded with the smallest volume among the family's
+//! designs that already meet the requirement (`lo ≤ required`): any such
+//! design is a valid pipeline for the new problem, so its volume is an
+//! achievable incumbent, the branch and bound prunes harder from the first
+//! node, and the result is the unseeded search's.
+//!
+//! A hit on an infeasible bound rebuilds [`Error::NoTFactory`] with the
+//! caller's required error, so its message is byte for byte the cold
+//! search's. The cache is internally synchronized and safe to share across
+//! the worker threads of a parallel batch.
 //!
 //! ## Scoping model: one store, per-view counters
 //!
@@ -31,11 +55,14 @@
 //! ## Bounded size and eviction
 //!
 //! [`FactoryCache::with_capacity`] bounds the store to at most `capacity`
-//! designs, evicting the **least recently used** entry whenever an insert
-//! would exceed the bound (every lookup hit refreshes its entry's recency).
-//! Evictions are counted exactly in [`CacheStats::evictions`]; an evicted
-//! design is simply re-searched (and re-counted as a miss) if its scenario
-//! comes back. An unbounded cache ([`FactoryCache::new`]) never evicts.
+//! stored designs (an infeasible bound counts as one), evicting the **least
+//! recently used** whenever an insert would exceed the bound (every lookup
+//! hit refreshes its design's recency). A recency index ordered by last-use
+//! stamp finds each victim in O(log n); a family left with no design and no
+//! bound is dropped. Evictions are counted exactly in
+//! [`CacheStats::evictions`]; an evicted design is simply re-searched (and
+//! re-counted as a miss) if a required error it answered comes back. An
+//! unbounded cache ([`FactoryCache::new`]) never evicts.
 //!
 //! ## Persistence: versioned JSON snapshots
 //!
@@ -46,25 +73,31 @@
 //! ```json
 //! {
 //!   "format": "qre-factory-cache",
-//!   "version": 1,
-//!   "entries": [ { "key": { "words": [...], "text": "..." }, "design": { ... } }, ... ]
+//!   "version": 2,
+//!   "entries": [
+//!     { "key": { "words": [...], "text": "..." }, "answeredUpToBits": ..., "design": { ... } },
+//!     { "key": { "words": [...], "text": "..." }, "noTFactory": { "requiredBits": ... } }
+//!   ]
 //! }
 //! ```
 //!
-//! where `format` must equal [`SNAPSHOT_FORMAT`] and `version` must equal
-//! [`SNAPSHOT_VERSION`]; anything else is rejected with a descriptive
-//! [`Error::InvalidInput`] so callers can warn loudly and fall back to a
-//! cold start instead of silently trusting a foreign file. Every `f64` in a
-//! snapshot is stored as its IEEE-754 bit pattern (a `u64`), making a
-//! save→load round trip **bit-exact**: a loaded design is indistinguishable
-//! from the one the search produced, and cache keys (which fingerprint
-//! floats by bit pattern) match exactly. Entries are written in
-//! least-recently-used-first order, so loading a snapshot into a cache with
-//! a smaller capacity keeps the most recently used designs. Saves are
-//! atomic (write to a unique temporary file, then rename), so a crash never
-//! leaves a half-written snapshot behind.
+//! with one entry per stored design: `key` is its family key,
+//! `answeredUpToBits` its interval's `hi` (the `lo` is the design's own
+//! `outputErrorRateBits`), and a `noTFactory` entry's `requiredBits` is the
+//! family's infeasible bound. `format` must equal [`SNAPSHOT_FORMAT`] and
+//! `version` must equal [`SNAPSHOT_VERSION`]; anything else is rejected
+//! with a descriptive [`Error::InvalidInput`] so callers can warn loudly
+//! and fall back to a cold start instead of silently trusting a foreign
+//! file. Every `f64` in a snapshot is stored as its IEEE-754 bit pattern (a
+//! `u64`), making a save→load round trip **bit-exact**: a loaded design is
+//! indistinguishable from the one the search produced, and family keys
+//! (which fingerprint floats by bit pattern) match exactly. Entries are
+//! written in least-recently-used-first order, so loading a snapshot into a
+//! cache with a smaller capacity keeps the most recently used designs.
+//! Saves are atomic (write to a unique temporary file, then rename), so a
+//! crash never leaves a half-written snapshot behind.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,9 +114,9 @@ pub const SNAPSHOT_FORMAT: &str = "qre-factory-cache";
 
 /// Snapshot schema version. Bump on any incompatible change to the entry
 /// encoding; [`FactoryCache::load`] rejects every other version loudly.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
-/// Bit-exact fingerprint of one factory-design problem.
+/// Bit-exact fingerprint of one design family.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FactoryKey {
     /// `f64::to_bits` / integer words of every numeric input, in a fixed
@@ -130,9 +163,7 @@ impl KeyBuilder {
 /// Fingerprint of a design *family*: every search input **except** the
 /// required output error. Two problems in one family differ only in how far
 /// the pipeline must distill — exactly the shape of neighbouring sweep items
-/// — so a completed family member's (achieved error, volume) is a valid
-/// incumbent seed for any member with a looser-or-equal requirement (see
-/// [`Store::seed_volume`]).
+/// — so one family entry answers all of them (see the module docs).
 fn family_key(builder: &TFactoryBuilder, qubit: &PhysicalQubit, scheme: &QecScheme) -> FactoryKey {
     let mut k = KeyBuilder::default();
     // Qubit model: every field the search reads. The profile name is
@@ -191,29 +222,25 @@ fn family_key(builder: &TFactoryBuilder, qubit: &PhysicalQubit, scheme: &QecSche
     k.finish()
 }
 
-/// The full problem fingerprint: the family plus the required output error
-/// (appended last, preserving the exact word order of snapshot version 1).
-fn factory_key(family: &FactoryKey, required: f64) -> FactoryKey {
-    let mut words = family.words.clone();
-    words.push(required.to_bits());
-    FactoryKey {
-        words,
-        text: family.text.clone(),
-    }
-}
-
 /// Hit/miss/size/eviction counters of a [`FactoryCache`].
+///
+/// The counters obey `hits + misses` = lookups (per view) and, summed over
+/// every view of one store, `entries + evictions ≤ misses`: each entry was
+/// added by one miss and each eviction removed one, but a miss whose search
+/// re-finds a stored design only widens that design's interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (including lookups that raced a
-    /// concurrent search and adopted its first-written result). Per-view:
+    /// Lookups answered from the store (including lookups that raced a
+    /// concurrent search and adopted its first-recorded result). Per-view:
     /// a [`FactoryCache::scoped`] sibling counts its own.
     pub hits: u64,
-    /// Lookups whose search populated the cache: exactly one per distinct
-    /// key, however many threads race on it. Per-view, like `hits`.
+    /// Lookups that ran a search and recorded its result in the store: one
+    /// per search that populated the store (a new entry, a widened interval
+    /// or a raised infeasible bound), however many threads race on one gap.
+    /// Per-view, like `hits`.
     pub misses: u64,
-    /// Distinct designs currently stored. Store-level: shared by every
-    /// scoped sibling.
+    /// Designs currently stored, an infeasible bound counting as one.
+    /// Store-level: shared by every scoped sibling.
     pub entries: usize,
     /// Designs evicted to respect the capacity bound, since the store was
     /// created. Store-level, like `entries`; always 0 for an unbounded
@@ -223,123 +250,256 @@ pub struct CacheStats {
     pub capacity: Option<usize>,
 }
 
-/// One stored design with its LRU bookkeeping.
-#[derive(Debug, Clone)]
-struct Slot {
-    value: Result<TFactory>,
-    /// Logical timestamp of the last lookup or insert that touched this
-    /// entry (larger = more recent).
+/// One stored design and the required errors it answers: every `required`
+/// with `design.output_error_rate ≤ required ≤ answered_up_to`.
+#[derive(Debug)]
+struct Interval {
+    design: TFactory,
+    answered_up_to: f64,
+    /// Recency stamp of the last lookup or record that touched it (its key
+    /// in the [`Recency`] index).
     last_used: u64,
 }
 
-/// Most design families tracked for incumbent seeding before the map is
-/// reset. Seeds are a pure optimisation (the search result is identical
-/// with or without one), so a coarse clear-on-overflow policy is enough to
-/// bound a long-running server's memory.
-const FAMILY_BOUNDS_CAP: usize = 256;
-
-/// Most (achieved error, volume) points kept per family staircase. The
-/// Pareto retention below keeps real staircases tiny; this is a backstop.
-const FAMILY_STAIRCASE_CAP: usize = 64;
-
-/// The shared design store: entries plus the state that must be common to
-/// every scoped view (capacity bound, LRU clock, eviction count), plus the
-/// per-family incumbent bounds that warm-start neighbouring searches.
-#[derive(Debug, Default)]
-struct Store {
-    entries: HashMap<FactoryKey, Slot>,
-    capacity: Option<usize>,
-    clock: u64,
-    evictions: u64,
-    /// Per-family Pareto staircase of completed designs, as (achieved
-    /// output error, volume) points. Never persisted in snapshots: seeds
-    /// only accelerate searches, they never change results.
-    family_bounds: HashMap<FactoryKey, Vec<(f64, f64)>>,
+impl Interval {
+    /// The tightest required error this design answers: its own output
+    /// error.
+    fn lo(&self) -> f64 {
+        self.design.output_error_rate
+    }
 }
 
-impl Store {
-    fn tick(&mut self) -> u64 {
+/// A family's infeasible bound: no factory exists at any required error at
+/// or below `up_to`.
+#[derive(Debug)]
+struct Infeasible {
+    up_to: f64,
+    last_used: u64,
+}
+
+/// Everything stored for one design family.
+#[derive(Debug, Default)]
+struct Family {
+    /// Sorted by [`Interval::lo`], pairwise disjoint.
+    intervals: Vec<Interval>,
+    infeasible: Option<Infeasible>,
+}
+
+impl Family {
+    /// Binary search for the interval whose design has output error `lo`.
+    fn position(&self, lo: f64) -> std::result::Result<usize, usize> {
+        self.intervals.binary_search_by(|iv| iv.lo().total_cmp(&lo))
+    }
+}
+
+/// One stored design, as the recency index names it: a family's interval
+/// (by its `lo`) or the family's infeasible bound (`lo == None`).
+#[derive(Debug, Clone)]
+struct Slot {
+    family: Arc<FactoryKey>,
+    lo: Option<f64>,
+}
+
+/// Every stored design by last-use stamp, oldest first: the first entry is
+/// the LRU victim, and the length is the store's entry count.
+#[derive(Debug, Default)]
+struct Recency {
+    clock: u64,
+    index: BTreeMap<u64, Slot>,
+}
+
+impl Recency {
+    /// Index a new design under a fresh stamp, returning the stamp.
+    fn insert(&mut self, slot: Slot) -> u64 {
         self.clock += 1;
+        self.index.insert(self.clock, slot);
         self.clock
     }
 
-    /// Look up a key, refreshing its recency on a hit.
-    fn touch(&mut self, key: &FactoryKey) -> Option<Result<TFactory>> {
-        let stamp = self.tick();
-        let slot = self.entries.get_mut(key)?;
-        slot.last_used = stamp;
-        Some(slot.value.clone())
+    /// Move a stored design from stamp `old` to a fresh one.
+    fn touch(&mut self, old: u64) -> u64 {
+        let slot = self.index.remove(&old).expect("stored designs are indexed");
+        self.insert(slot)
     }
+}
 
-    /// Insert a design, then evict least-recently-used entries until the
-    /// capacity bound holds again. (With `capacity == Some(0)` the fresh
-    /// entry itself is evicted immediately: the store stays empty and every
-    /// lookup is a miss, which keeps the counters exact even in the
-    /// degenerate configuration.)
-    fn insert(&mut self, key: FactoryKey, value: Result<TFactory>) {
-        let stamp = self.tick();
-        self.entries.insert(
-            key,
-            Slot {
-                value,
-                last_used: stamp,
-            },
-        );
-        if let Some(capacity) = self.capacity {
-            while self.entries.len() > capacity {
-                let oldest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, slot)| slot.last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty store over capacity");
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
+/// The shared design store: families plus the state that must be common to
+/// every scoped view (capacity bound, recency index, eviction count).
+#[derive(Debug, Default)]
+struct Store {
+    families: HashMap<Arc<FactoryKey>, Family>,
+    recency: Recency,
+    capacity: Option<usize>,
+    evictions: u64,
+}
+
+impl Store {
+    /// The stored answer at `required`, refreshing its recency; `None` when
+    /// `required` falls in a gap of its family (or the family is unknown).
+    fn lookup(&mut self, family: &FactoryKey, required: f64) -> Option<Result<TFactory>> {
+        let fam = self.families.get_mut(family)?;
+        if let Some(bound) = fam.infeasible.as_mut().filter(|b| required <= b.up_to) {
+            bound.last_used = self.recency.touch(bound.last_used);
+            return Some(Err(Error::NoTFactory { required }));
         }
+        let at = fam.intervals.partition_point(|iv| iv.lo() <= required);
+        let interval = fam.intervals[..at]
+            .last_mut()
+            .filter(|iv| required <= iv.answered_up_to)?;
+        interval.last_used = self.recency.touch(interval.last_used);
+        Some(Ok(interval.design.clone()))
     }
 
-    /// The best achievable incumbent seed for a family member requiring
-    /// `required`: the smallest recorded volume among designs whose achieved
-    /// output error already meets `required`. Such a design is itself a
-    /// valid solution of the new problem, so its volume is an upper bound
-    /// the branch-and-bound may prune against from the first node.
+    /// The best incumbent seed for a gap search at `required`: the smallest
+    /// volume among the family's designs whose output error already meets
+    /// `required`. Such a design is itself a valid solution of the new
+    /// problem, so its volume is an upper bound the branch and bound may
+    /// prune against from the first node.
     fn seed_volume(&self, family: &FactoryKey, required: f64) -> Option<f64> {
-        let points = self.family_bounds.get(family)?;
-        points
+        let fam = self.families.get(family)?;
+        let at = fam.intervals.partition_point(|iv| iv.lo() <= required);
+        fam.intervals[..at]
             .iter()
-            .filter(|(achieved, _)| *achieved <= required)
-            .map(|(_, volume)| *volume)
+            .map(|iv| iv.design.volume())
             .min_by(f64::total_cmp)
     }
 
-    /// Record a completed design's (achieved error, volume) point on its
-    /// family staircase, keeping only Pareto-useful points (a point beaten
-    /// on both axes can never be the chosen seed).
-    fn record_bound(&mut self, family: FactoryKey, achieved: f64, volume: f64) {
-        if self.family_bounds.len() >= FAMILY_BOUNDS_CAP
-            && !self.family_bounds.contains_key(&family)
-        {
-            self.family_bounds.clear();
+    /// Record the answer a search gave at `required`: widen the interval of
+    /// a design already stored, raise the family's infeasible bound, or add
+    /// an entry — then evict least-recently-used entries until the capacity
+    /// bound holds again. Returns the entry when one was added. (With
+    /// `capacity == Some(0)` the fresh entry itself is evicted immediately:
+    /// the store stays empty and every lookup is a miss, which keeps the
+    /// counters exact even in the degenerate configuration.)
+    fn record(
+        &mut self,
+        family: &FactoryKey,
+        required: f64,
+        answer: &Result<TFactory>,
+    ) -> Option<Slot> {
+        // The search fails only with `NoTFactory`, and a NaN requirement
+        // lies in no interval; neither is worth storing.
+        if required.is_nan() || matches!(answer, Err(e) if !matches!(e, Error::NoTFactory { .. })) {
+            return None;
         }
-        let points = self.family_bounds.entry(family).or_default();
-        if points.iter().any(|&(a, v)| a <= achieved && v <= volume) {
-            return;
-        }
-        points.retain(|&(a, v)| !(achieved <= a && volume <= v));
-        points.push((achieved, volume));
-        if points.len() > FAMILY_STAIRCASE_CAP {
-            // Backstop: drop the loosest point; tight seeds serve the most
-            // family members.
-            if let Some(worst) = points
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
-                .map(|(i, _)| i)
-            {
-                points.swap_remove(worst);
+        let key = match self.families.get_key_value(family) {
+            Some((key, _)) => Arc::clone(key),
+            None => Arc::new(family.clone()),
+        };
+        let fam = self.families.entry(Arc::clone(&key)).or_default();
+        let slot = match answer {
+            Ok(design) => match fam.position(design.output_error_rate) {
+                Ok(i) => {
+                    let interval = &mut fam.intervals[i];
+                    interval.answered_up_to = interval.answered_up_to.max(required);
+                    interval.last_used = self.recency.touch(interval.last_used);
+                    return None;
+                }
+                Err(i) => {
+                    let slot = Slot {
+                        family: key,
+                        lo: Some(design.output_error_rate),
+                    };
+                    let last_used = self.recency.insert(slot.clone());
+                    fam.intervals.insert(
+                        i,
+                        Interval {
+                            design: design.clone(),
+                            answered_up_to: required,
+                            last_used,
+                        },
+                    );
+                    slot
+                }
+            },
+            Err(_) => match &mut fam.infeasible {
+                Some(bound) => {
+                    bound.up_to = bound.up_to.max(required);
+                    bound.last_used = self.recency.touch(bound.last_used);
+                    return None;
+                }
+                None => {
+                    let slot = Slot {
+                        family: key,
+                        lo: None,
+                    };
+                    fam.infeasible = Some(Infeasible {
+                        up_to: required,
+                        last_used: self.recency.insert(slot.clone()),
+                    });
+                    slot
+                }
+            },
+        };
+        if let Some(capacity) = self.capacity {
+            while self.recency.index.len() > capacity {
+                self.evict_oldest();
             }
         }
+        Some(slot)
+    }
+
+    /// Drop the least recently used design, and its family once empty.
+    fn evict_oldest(&mut self) {
+        let (_, victim) = self
+            .recency
+            .index
+            .pop_first()
+            .expect("non-empty store over capacity");
+        let fam = self
+            .families
+            .get_mut(&victim.family)
+            .expect("indexed designs belong to a stored family");
+        match victim.lo {
+            Some(lo) => {
+                let i = fam.position(lo).expect("indexed design is stored");
+                fam.intervals.remove(i);
+            }
+            None => fam.infeasible = None,
+        }
+        if fam.intervals.is_empty() && fam.infeasible.is_none() {
+            self.families.remove(&victim.family);
+        }
+        self.evictions += 1;
+    }
+
+    /// Whether `slot` is still stored.
+    fn holds(&self, slot: &Slot) -> bool {
+        self.families
+            .get(&slot.family)
+            .is_some_and(|fam| match slot.lo {
+                Some(lo) => fam.position(lo).is_ok(),
+                None => fam.infeasible.is_some(),
+            })
+    }
+
+    /// Every stored design as a snapshot entry, least recently used first.
+    fn entries_json(&self) -> Vec<Value> {
+        self.recency
+            .index
+            .values()
+            .map(|slot| {
+                let fam = &self.families[&slot.family];
+                let payload = match slot.lo {
+                    Some(lo) => {
+                        let interval = &fam.intervals[fam.position(lo).expect("stored design")];
+                        ObjectBuilder::new()
+                            .field("answeredUpToBits", bits(interval.answered_up_to))
+                            .field("design", factory_to_json(&interval.design))
+                    }
+                    None => {
+                        let bound = fam.infeasible.as_ref().expect("stored bound");
+                        ObjectBuilder::new().field(
+                            "noTFactory",
+                            ObjectBuilder::new()
+                                .field("requiredBits", bits(bound.up_to))
+                                .build(),
+                        )
+                    }
+                };
+                entry_to_json(&slot.family, payload)
+            })
+            .collect()
     }
 }
 
@@ -352,12 +512,13 @@ impl Store {
 /// lookups — the shape a long-running job server needs: one process-wide
 /// store, exact per-job statistics even while jobs run concurrently.
 ///
-/// The store can be **bounded** ([`FactoryCache::with_capacity`]): inserts
-/// beyond the capacity evict the least-recently-used design (every hit
-/// refreshes recency), with evictions counted exactly in
-/// [`CacheStats::evictions`]. It can also be **persisted**
-/// ([`FactoryCache::save`] / [`FactoryCache::load`]): a versioned JSON
-/// snapshot (`"format": "qre-factory-cache"`, `"version"` =
+/// Designs are stored per family, each answering an interval of required
+/// errors (see the module docs). The store can be **bounded**
+/// ([`FactoryCache::with_capacity`]): inserts beyond the capacity evict the
+/// least-recently-used design (every hit refreshes recency), with evictions
+/// counted exactly in [`CacheStats::evictions`]. It can also be
+/// **persisted** ([`FactoryCache::save`] / [`FactoryCache::load`]): a
+/// versioned JSON snapshot (`"format": "qre-factory-cache"`, `"version"` =
 /// [`SNAPSHOT_VERSION`]) in which every `f64` is stored as its IEEE-754
 /// bit pattern, so a save→load round trip reproduces designs bit-exactly;
 /// corrupt or version-mismatched snapshots are rejected with a descriptive
@@ -372,16 +533,18 @@ pub struct FactoryCache {
 
 /// Aggregated pipeline-search counters of one cache view (the
 /// `--search-stats` record): how many searches ran, how many were
-/// warm-started from a family seed, and the summed [`SearchStats`] of all
-/// of them. Like hits/misses, these are **per-view** — a
-/// [`FactoryCache::scoped`] sibling counts its own searches.
+/// warm-started from a stored design of the family, and the summed
+/// [`SearchStats`] of all of them. Like hits/misses, these are
+/// **per-view** — a [`FactoryCache::scoped`] sibling counts its own
+/// searches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Pipeline searches this view actually ran (= cache misses that
-    /// reached the searcher).
+    /// Pipeline searches this view actually ran: one per lookup that fell
+    /// in a gap (a racer that lost to a concurrent search still ran its
+    /// own), plus the unseeded re-run of a failed seeded search.
     pub searches: u64,
-    /// Searches whose incumbent was seeded from a completed family
-    /// neighbour's volume.
+    /// Searches whose incumbent was seeded from the volume of a stored
+    /// design of the same family.
     pub seeded_searches: u64,
     /// Summed per-search counters (nodes expanded/pruned, memo hits,
     /// factories realised).
@@ -453,18 +616,23 @@ impl FactoryCache {
         Self::default()
     }
 
-    /// An empty cache that stores at most `capacity` designs, evicting the
-    /// least recently used entry when an insert would exceed the bound.
+    /// An empty cache that stores at most `capacity` designs (an infeasible
+    /// bound counts as one), evicting the least recently used when an
+    /// insert would exceed the bound.
     pub fn with_capacity(capacity: usize) -> Self {
         let cache = FactoryCache::new();
-        cache.store.lock().expect("factory cache lock").capacity = Some(capacity);
+        cache.lock().capacity = Some(capacity);
         cache
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Store> {
+        self.store.lock().expect("factory cache lock")
     }
 
     /// The store's capacity bound (`None` = unbounded). Shared with every
     /// [`FactoryCache::scoped`] sibling.
     pub fn capacity(&self) -> Option<usize> {
-        self.store.lock().expect("factory cache lock").capacity
+        self.lock().capacity
     }
 
     /// A sibling view of this cache: it shares the stored designs (a hit in
@@ -481,9 +649,9 @@ impl FactoryCache {
         }
     }
 
-    /// Memoized [`TFactoryBuilder::find_factory`]: returns the cached design
-    /// (or cached deterministic failure) when the full problem fingerprint
-    /// matches, running the search otherwise.
+    /// Memoized [`TFactoryBuilder::find_factory`]: returns the stored design
+    /// (or stored deterministic failure) whose interval holds `required`,
+    /// running a seeded search when `required` falls in a gap.
     pub fn find_factory(
         &self,
         builder: &TFactoryBuilder,
@@ -492,28 +660,25 @@ impl FactoryCache {
         required: f64,
     ) -> Result<TFactory> {
         let family = family_key(builder, qubit, scheme);
-        let key = factory_key(&family, required);
         let seed = {
-            let mut store = self.store.lock().expect("factory cache lock");
-            if let Some(cached) = store.touch(&key) {
+            let mut store = self.lock();
+            if let Some(answer) = store.lookup(&family, required) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return cached;
+                return answer;
             }
-            // Miss: pick up an incumbent seed from a completed family
-            // neighbour (same problem, different required error) before
-            // releasing the lock.
             store.seed_volume(&family, required)
         };
-        // Search outside the lock: concurrent misses on the same key may
+        // Search outside the lock: concurrent misses in one gap may
         // duplicate work once, but never block each other on the (long)
-        // pipeline search. Insertion is first-write-wins — a racer that
-        // finds the entry already present counts as a hit and returns the
-        // stored design, so `misses` counts exactly the searches that
-        // populated the cache and every caller sees one canonical result.
+        // pipeline search. Recording is first-write-wins — a racer whose
+        // requirement a concurrent search has answered meanwhile counts as
+        // a hit and returns the stored design, so `misses` counts exactly
+        // the searches that populated the store and every caller sees one
+        // canonical result.
         let (mut designed, stats) = builder.find_factory_with_stats(qubit, scheme, required, seed);
         self.search.record(seed.is_some(), &stats);
         if designed.is_err() && seed.is_some() {
-            // A recorded family bound is always achievable, so a seeded
+            // A stored design's volume is always achievable, so a seeded
             // search can only fail where the unseeded one would. Still,
             // never let the optimisation turn into a wrong answer: re-run
             // without the seed before trusting a failure.
@@ -521,21 +686,14 @@ impl FactoryCache {
             self.search.record(false, &cold_stats);
             designed = cold;
         }
-        let mut store = self.store.lock().expect("factory cache lock");
-        match store.touch(&key) {
-            Some(existing) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                existing
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Ok(factory) = &designed {
-                    store.record_bound(family, factory.output_error_rate, factory.volume());
-                }
-                store.insert(key, designed.clone());
-                designed
-            }
+        let mut store = self.lock();
+        if let Some(answer) = store.lookup(&family, required) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return answer;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        store.record(&family, required, &designed);
+        designed
     }
 
     /// This view's aggregated pipeline-search counters (see
@@ -547,11 +705,11 @@ impl FactoryCache {
     /// Current counters. `hits`/`misses` are this view's; `entries`,
     /// `evictions`, and `capacity` are the shared store's.
     pub fn stats(&self) -> CacheStats {
-        let store = self.store.lock().expect("factory cache lock");
+        let store = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: store.entries.len(),
+            entries: store.recency.index.len(),
             evictions: store.evictions,
             capacity: store.capacity,
         }
@@ -563,10 +721,10 @@ impl FactoryCache {
     /// their hit/miss counters are their own and keep counting. The
     /// capacity bound is kept.
     pub fn clear(&self) {
-        let mut store = self.store.lock().expect("factory cache lock");
-        store.entries.clear();
+        let mut store = self.lock();
+        store.families.clear();
+        store.recency.index.clear();
         store.evictions = 0;
-        store.family_bounds.clear();
         drop(store);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -577,13 +735,7 @@ impl FactoryCache {
     /// docs for the format). Entries are ordered least-recently-used first,
     /// so loading into a smaller-capacity cache keeps the freshest designs.
     pub fn snapshot(&self) -> Value {
-        let store = self.store.lock().expect("factory cache lock");
-        let mut slots: Vec<(&FactoryKey, &Slot)> = store.entries.iter().collect();
-        slots.sort_by_key(|(_, slot)| slot.last_used);
-        let entries: Vec<Value> = slots
-            .into_iter()
-            .filter_map(|(key, slot)| entry_to_json(key, &slot.value))
-            .collect();
+        let entries = self.lock().entries_json();
         ObjectBuilder::new()
             .field("format", SNAPSHOT_FORMAT)
             .field("version", SNAPSHOT_VERSION)
@@ -592,15 +744,16 @@ impl FactoryCache {
     }
 
     /// Merge a snapshot document into this cache, returning how many of the
-    /// snapshot's designs the store **retained**. Entries whose key is
-    /// already present are skipped (the search is pure, so the stored
-    /// design is identical); the capacity bound applies as usual, evicting
-    /// if the merge overflows it — designs the bound discarded on the spot
-    /// are not counted, so the return value is the warm state the caller
-    /// actually gained, not the insert attempts. Fails with
-    /// [`Error::InvalidInput`] — without touching the store — when the
-    /// document is not a snapshot, names another format, or carries a
-    /// different [`SNAPSHOT_VERSION`].
+    /// snapshot's designs the store **retained** as new entries. An entry
+    /// whose design is already stored only widens that design's interval
+    /// (the search is pure, so the stored design is identical), and an
+    /// infeasible bound only raises the family's bound; the capacity bound
+    /// applies as usual, evicting if the merge overflows it — designs the
+    /// bound discarded on the spot are not counted, so the return value is
+    /// the warm state the caller actually gained, not the insert attempts.
+    /// Fails with [`Error::InvalidInput`] — without touching the store —
+    /// when the document is not a snapshot, names another format, or
+    /// carries a different [`SNAPSHOT_VERSION`].
     pub fn load_snapshot(&self, doc: &Value) -> Result<usize> {
         let invalid = |msg: String| Error::InvalidInput(format!("factory-cache snapshot: {msg}"));
         if doc.as_object().is_none() {
@@ -631,21 +784,15 @@ impl FactoryCache {
             decoded
                 .push(entry_from_json(entry).map_err(|e| invalid(format!("entries[{i}]: {e}")))?);
         }
-        let mut store = self.store.lock().expect("factory cache lock");
-        let mut inserted: Vec<FactoryKey> = Vec::new();
-        for (key, value) in decoded {
-            if !store.entries.contains_key(&key) {
-                store.insert(key.clone(), value);
-                inserted.push(key);
-            }
-        }
+        let mut store = self.lock();
+        let added: Vec<Slot> = decoded
+            .iter()
+            .filter_map(|(key, required, answer)| store.record(key, *required, answer))
+            .collect();
         // Count what survived, not what was attempted: a capacity-bounded
         // store may have evicted part of the snapshot immediately, and
         // callers report this number as the session's warm state.
-        Ok(inserted
-            .iter()
-            .filter(|key| store.entries.contains_key(*key))
-            .count())
+        Ok(added.iter().filter(|slot| store.holds(slot)).count())
     }
 
     /// Write the snapshot to `path` atomically (unique temporary file in
@@ -716,10 +863,9 @@ fn str_field<'a>(v: &'a Value, key: &str) -> std::result::Result<&'a str, String
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
-/// Encode one store entry, or `None` for values that cannot round-trip
-/// (error kinds other than the deterministic [`Error::NoTFactory`], which
-/// in practice never reach the store).
-fn entry_to_json(key: &FactoryKey, value: &Result<TFactory>) -> Option<Value> {
+/// One snapshot entry: the family key followed by the entry's `payload`
+/// fields.
+fn entry_to_json(key: &FactoryKey, payload: ObjectBuilder) -> Value {
     let key_json = ObjectBuilder::new()
         .field(
             "words",
@@ -727,28 +873,19 @@ fn entry_to_json(key: &FactoryKey, value: &Result<TFactory>) -> Option<Value> {
         )
         .field("text", key.text.as_str())
         .build();
-    let value_json = match value {
-        Ok(factory) => ObjectBuilder::new()
-            .field("design", factory_to_json(factory))
-            .build(),
-        Err(Error::NoTFactory { required }) => ObjectBuilder::new()
-            .field(
-                "noTFactory",
-                ObjectBuilder::new()
-                    .field("requiredBits", bits(*required))
-                    .build(),
-            )
-            .build(),
-        Err(_) => return None,
-    };
     let mut entry = ObjectBuilder::new().field("key", key_json).build();
-    if let (Value::Object(pairs), Value::Object(tail)) = (&mut entry, value_json) {
+    if let (Value::Object(pairs), Value::Object(tail)) = (&mut entry, payload.build()) {
         pairs.extend(tail);
     }
-    Some(entry)
+    entry
 }
 
-fn entry_from_json(entry: &Value) -> std::result::Result<(FactoryKey, Result<TFactory>), String> {
+/// Decode one snapshot entry as the `(family, required, answer)` triple
+/// [`Store::record`] takes: a design with the loosest required error it
+/// answered, or an infeasible bound as a failure at the bound.
+fn entry_from_json(
+    entry: &Value,
+) -> std::result::Result<(FactoryKey, f64, Result<TFactory>), String> {
     let key = entry.get("key").ok_or("missing `key` object")?;
     let words = key
         .get("words")
@@ -760,11 +897,21 @@ fn entry_from_json(entry: &Value) -> std::result::Result<(FactoryKey, Result<TFa
     let text = str_field(key, "text")?.to_owned();
     let key = FactoryKey { words, text };
     if let Some(design) = entry.get("design") {
-        return Ok((key, Ok(factory_from_json(design)?)));
+        let design = factory_from_json(design)?;
+        let answered_up_to = f64_field(entry, "answeredUpToBits")?;
+        // An interval with a NaN edge answers nothing either.
+        let lo = design.output_error_rate;
+        if lo.is_nan() || answered_up_to.is_nan() || answered_up_to < lo {
+            return Err("`answeredUpToBits` is below the design's `outputErrorRateBits`".into());
+        }
+        return Ok((key, answered_up_to, Ok(design)));
     }
     if let Some(failure) = entry.get("noTFactory") {
         let required = f64_field(failure, "requiredBits")?;
-        return Ok((key, Err(Error::NoTFactory { required })));
+        if required.is_nan() {
+            return Err("`noTFactory.requiredBits` is NaN".into());
+        }
+        return Ok((key, required, Err(Error::NoTFactory { required })));
     }
     Err("entry carries neither `design` nor `noTFactory`".into())
 }
@@ -843,6 +990,7 @@ fn factory_from_json(v: &Value) -> std::result::Result<TFactory, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn problem() -> (TFactoryBuilder, PhysicalQubit, QecScheme) {
         (
@@ -850,6 +998,29 @@ mod tests {
             PhysicalQubit::qubit_maj_ns_e4(),
             QecScheme::floquet_code(),
         )
+    }
+
+    /// Required errors whose designs are pairwise distinct in the test
+    /// family, loosest first. A design answers only its own interval, so
+    /// each of these is a store entry of its own, and none is answered by
+    /// another's design. Found once by halving from 1e-4 with cold searches.
+    fn requirement(i: usize) -> f64 {
+        static DISTINCT: OnceLock<Vec<f64>> = OnceLock::new();
+        DISTINCT.get_or_init(|| {
+            let (b, q, s) = problem();
+            let mut found: Vec<(f64, TFactory)> = Vec::new();
+            let mut required = 1e-4;
+            while found.len() < 8 {
+                let design = b
+                    .find_factory(&q, &s, required)
+                    .expect("eight distinct designs before the family turns infeasible");
+                if found.iter().all(|(_, known)| *known != design) {
+                    found.push((required, design));
+                }
+                required *= 0.5;
+            }
+            found.into_iter().map(|(required, _)| required).collect()
+        })[i]
     }
 
     #[test]
@@ -871,12 +1042,57 @@ mod tests {
 
     #[test]
     fn distinct_requirements_are_distinct_entries() {
+        // Requirements answered by different designs are different entries…
         let (b, q, s) = problem();
         let cache = FactoryCache::new();
-        cache.find_factory(&b, &q, &s, 1e-10).unwrap();
-        cache.find_factory(&b, &q, &s, 1e-11).unwrap();
+        cache.find_factory(&b, &q, &s, requirement(0)).unwrap();
+        cache.find_factory(&b, &q, &s, requirement(1)).unwrap();
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().hits, 0);
+        // …but requirements answered by one design share its entry.
+        let design = b.find_factory(&q, &s, requirement(1)).unwrap();
+        cache
+            .find_factory(&b, &q, &s, design.output_error_rate)
+            .unwrap();
+        assert_eq!(
+            cache.stats().hits,
+            1,
+            "the design's own error is in its interval"
+        );
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn one_design_answers_its_whole_interval() {
+        let (b, q, s) = problem();
+        let cache = FactoryCache::new();
+        let required = requirement(2);
+        let design = cache.find_factory(&b, &q, &s, required).unwrap();
+        let lo = design.output_error_rate;
+        // Every required error in [lo, required] is a hit on the same design:
+        // both edges and the geometric midpoint.
+        for probe in [lo, (lo * required).sqrt(), required] {
+            assert_eq!(cache.find_factory(&b, &q, &s, probe).unwrap(), design);
+            assert_eq!(b.find_factory(&q, &s, probe).unwrap(), design);
+        }
+        assert_eq!((cache.stats().hits, cache.stats().misses), (3, 1));
+        // Just outside either edge is a gap: it searches, and the answer is
+        // the cold search's whether it widens this interval or adds one.
+        let below = f64::from_bits(lo.to_bits() - 1);
+        let above = f64::from_bits(required.to_bits() + 1);
+        for probe in [below, above] {
+            assert_eq!(
+                cache.find_factory(&b, &q, &s, probe).unwrap(),
+                b.find_factory(&q, &s, probe).unwrap()
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 3));
+        // The looser probe re-found the design and widened its interval
+        // without adding an entry; the tighter one needed a new design.
+        assert_eq!(stats.entries, 2);
+        assert_eq!(cache.find_factory(&b, &q, &s, above).unwrap(), design);
+        assert_eq!(cache.stats().hits, 4);
     }
 
     #[test]
@@ -910,8 +1126,27 @@ mod tests {
     }
 
     #[test]
+    fn infeasible_bound_answers_tighter_requirements_with_the_callers_error() {
+        let (b, q, s) = problem();
+        let cache = FactoryCache::new();
+        assert!(cache.find_factory(&b, &q, &s, 1e-60).is_err());
+        let warm = cache.find_factory(&b, &q, &s, 1e-70).unwrap_err();
+        assert_eq!(
+            (cache.stats().hits, cache.stats().misses),
+            (1, 1),
+            "the 1e-60 bound answers 1e-70 without a search"
+        );
+        match warm {
+            Error::NoTFactory { required } => assert_eq!(required.to_bits(), 1e-70f64.to_bits()),
+            ref other => panic!("expected NoTFactory, got {other:?}"),
+        }
+        let cold = b.find_factory(&q, &s, 1e-70).unwrap_err();
+        assert_eq!(warm.to_string(), cold.to_string(), "error bytes differ");
+    }
+
+    #[test]
     fn concurrent_misses_on_one_key_count_once() {
-        // Many threads racing the same cold key: each runs the search
+        // Many threads racing the same cold gap: each runs the search
         // outside the lock, but only the first writer may count a miss or
         // store its design — the rest adopt the stored result as hits.
         let (b, q, s) = problem();
@@ -927,7 +1162,7 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "one populating search per key");
+        assert_eq!(stats.misses, 1, "one populating search per gap");
         assert_eq!(stats.hits, threads - 1);
         assert_eq!(stats.entries, 1);
         for r in &results[1..] {
@@ -939,22 +1174,22 @@ mod tests {
     fn scoped_views_share_designs_but_not_counters() {
         let (b, q, s) = problem();
         let base = FactoryCache::new();
-        base.find_factory(&b, &q, &s, 1e-10).unwrap();
+        base.find_factory(&b, &q, &s, requirement(0)).unwrap();
         assert_eq!(base.stats().misses, 1);
 
         // A scope opened afterwards sees the stored design as a hit…
         let job = base.scoped();
         assert_eq!((job.stats().hits, job.stats().misses), (0, 0));
-        job.find_factory(&b, &q, &s, 1e-10).unwrap();
+        job.find_factory(&b, &q, &s, requirement(0)).unwrap();
         assert_eq!((job.stats().hits, job.stats().misses), (1, 0));
         // …without touching the base view's counters.
         assert_eq!((base.stats().hits, base.stats().misses), (0, 1));
 
         // A miss inside a scope populates the shared store for everyone.
-        job.find_factory(&b, &q, &s, 1e-11).unwrap();
+        job.find_factory(&b, &q, &s, requirement(1)).unwrap();
         assert_eq!(job.stats().misses, 1);
         assert_eq!(base.stats().entries, 2);
-        base.find_factory(&b, &q, &s, 1e-11).unwrap();
+        base.find_factory(&b, &q, &s, requirement(1)).unwrap();
         assert_eq!(base.stats().hits, 1);
     }
 
@@ -967,12 +1202,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         assert_eq!(stats.evictions, 0);
-    }
-
-    /// Distinct design problems: the same scenario at progressively tighter
-    /// requirements (each `required` is part of the key).
-    fn requirement(i: usize) -> f64 {
-        1e-8 * 0.5f64.powi(i as i32)
     }
 
     #[test]
@@ -1017,6 +1246,124 @@ mod tests {
         let again = bounded.find_factory(&b, &q, &s, requirement(0)).unwrap();
         assert_eq!(first, again, "re-searched design is identical");
         assert!(bounded.stats().evictions >= 2);
+    }
+
+    /// A synthetic design whose only meaningful field is its output error.
+    fn synthetic(output_error_rate: f64) -> TFactory {
+        TFactory {
+            rounds: Vec::new(),
+            physical_qubits: 1,
+            duration_ns: 1.0,
+            output_error_rate,
+            output_t_states: 1,
+            input_error_rate: 1e-3,
+        }
+    }
+
+    fn family(id: u64) -> FactoryKey {
+        FactoryKey {
+            words: vec![id],
+            text: String::new(),
+        }
+    }
+
+    /// The store's entries, least recently used first, as (family id,
+    /// design output error or `None` for the infeasible bound).
+    fn recency_order(store: &Store) -> Vec<(u64, Option<f64>)> {
+        store
+            .recency
+            .index
+            .values()
+            .map(|slot| (slot.family.words[0], slot.lo))
+            .collect()
+    }
+
+    #[test]
+    fn store_evicts_least_recently_used_across_families_and_bounds() {
+        let mut store = Store {
+            capacity: Some(3),
+            ..Store::default()
+        };
+        let (a, b) = (family(1), family(2));
+        let none = |required| Err(Error::NoTFactory { required });
+        store.record(&a, 1e-6, &Ok(synthetic(1e-7)));
+        store.record(&b, 1e-40, &none(1e-40));
+        store.record(&a, 1e-9, &Ok(synthetic(1e-10)));
+        assert_eq!(
+            recency_order(&store),
+            [(1, Some(1e-7)), (2, None), (1, Some(1e-10))]
+        );
+        // A hit refreshes A's loose design, so B's bound becomes the victim
+        // of the next insert.
+        assert!(store.lookup(&a, 5e-7).unwrap().is_ok());
+        store.record(&b, 1e-3, &Ok(synthetic(1e-4)));
+        assert_eq!(store.evictions, 1);
+        assert_eq!(
+            recency_order(&store),
+            [(1, Some(1e-10)), (1, Some(1e-7)), (2, Some(1e-4))]
+        );
+        assert!(store.lookup(&b, 1e-50).is_none(), "B's bound was evicted");
+        // Widening an interval refreshes it without adding an entry.
+        store.record(&a, 1e-8, &Ok(synthetic(1e-10)));
+        assert_eq!(store.evictions, 1);
+        assert_eq!(
+            recency_order(&store),
+            [(1, Some(1e-7)), (2, Some(1e-4)), (1, Some(1e-10))]
+        );
+        // A new bound evicts A's loose design; the widened one still
+        // answers its whole interval.
+        store.record(&b, 1e-60, &none(1e-60));
+        assert_eq!(
+            recency_order(&store),
+            [(2, Some(1e-4)), (1, Some(1e-10)), (2, None)]
+        );
+        assert!(store.lookup(&a, 5e-7).is_none());
+        assert!(store.lookup(&a, 5e-9).unwrap().is_ok());
+        // Raising a bound is a touch too, and a family left empty is
+        // dropped.
+        store.record(&b, 1e-50, &none(1e-50));
+        assert_eq!(
+            recency_order(&store),
+            [(2, Some(1e-4)), (1, Some(1e-10)), (2, None)]
+        );
+        store.record(&b, 1e-2, &Ok(synthetic(2e-3)));
+        store.record(&b, 1e-5, &Ok(synthetic(1e-5)));
+        assert_eq!(store.evictions, 4);
+        assert!(!store.families.contains_key(&a), "emptied family dropped");
+        assert_eq!(
+            recency_order(&store),
+            [(2, None), (2, Some(2e-3)), (2, Some(1e-5))]
+        );
+        // The raised bound answers at the caller's requirement.
+        match store.lookup(&b, 1e-55) {
+            Some(Err(Error::NoTFactory { required })) => assert_eq!(required, 1e-55),
+            other => panic!("expected the infeasible bound, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn seeds_come_from_designs_that_meet_the_requirement() {
+        let mut store = Store::default();
+        let a = family(1);
+        let big = TFactory {
+            physical_qubits: 200,
+            ..synthetic(1e-12)
+        };
+        let small = TFactory {
+            physical_qubits: 50,
+            ..synthetic(1e-9)
+        };
+        store.record(&a, 1e-11, &Ok(big));
+        store.record(&a, 1e-8, &Ok(small));
+        assert_eq!(store.seed_volume(&a, 1e-7), Some(50.0));
+        assert_eq!(store.seed_volume(&a, 1e-9), Some(50.0), "lo edge seeds");
+        assert_eq!(store.seed_volume(&a, 5e-10), Some(200.0));
+        assert_eq!(store.seed_volume(&a, 1e-13), None, "no achievable seed");
+        assert_eq!(
+            store.seed_volume(&family(2), 1e-7),
+            None,
+            "families isolated"
+        );
     }
 
     #[test]
@@ -1065,7 +1412,7 @@ mod tests {
         };
         reject("{}", "format");
         reject(
-            r#"{"format": "something-else", "version": 1}"#,
+            r#"{"format": "something-else", "version": 2}"#,
             "something-else",
         );
         reject(
@@ -1073,13 +1420,30 @@ mod tests {
             "version 999",
         );
         reject(
-            r#"{"format": "qre-factory-cache", "version": 1}"#,
+            r#"{"format": "qre-factory-cache", "version": 1, "entries": []}"#,
+            "version 1 is not the supported version 2",
+        );
+        reject(
+            r#"{"format": "qre-factory-cache", "version": 2}"#,
             "entries",
         );
         reject(
-            r#"{"format": "qre-factory-cache", "version": 1, "entries": [ {"key": 5} ]}"#,
+            r#"{"format": "qre-factory-cache", "version": 2, "entries": [ {"key": 5} ]}"#,
             "entries[0]",
         );
+        // An interval whose upper edge lies below its design's own error.
+        let (b, q, s) = problem();
+        let source = FactoryCache::new();
+        let design = source.find_factory(&b, &q, &s, 1e-10).unwrap();
+        let mut doc = source.snapshot().to_string_compact();
+        let hi = format!("\"answeredUpToBits\":{}", 1e-10f64.to_bits());
+        let below = format!(
+            "\"answeredUpToBits\":{}",
+            (design.output_error_rate / 2.0).to_bits()
+        );
+        assert!(doc.contains(&hi));
+        doc = doc.replace(&hi, &below);
+        reject(&doc, "below the design's");
         reject("[1, 2]", "object");
         assert_eq!(cache.stats().entries, 0, "rejected loads leave no residue");
     }
@@ -1088,8 +1452,8 @@ mod tests {
     fn save_and_load_files() {
         let (b, q, s) = problem();
         let cache = FactoryCache::new();
-        cache.find_factory(&b, &q, &s, 1e-10).unwrap();
-        cache.find_factory(&b, &q, &s, 1e-11).unwrap();
+        cache.find_factory(&b, &q, &s, requirement(0)).unwrap();
+        cache.find_factory(&b, &q, &s, requirement(1)).unwrap();
         let path = std::env::temp_dir().join(format!(
             "qre-cache-test-{}-{:?}.json",
             std::process::id(),
@@ -1099,7 +1463,7 @@ mod tests {
 
         let fresh = FactoryCache::new();
         assert_eq!(fresh.load(&path).unwrap(), 2);
-        fresh.find_factory(&b, &q, &s, 1e-10).unwrap();
+        fresh.find_factory(&b, &q, &s, requirement(0)).unwrap();
         assert_eq!(fresh.stats().hits, 1);
 
         // Corrupt file: descriptive error, store untouched.
@@ -1187,8 +1551,7 @@ mod tests {
         // than the shared working set, so every round churns evictions.
         // The accounting must stay exact anyway: the capacity bound holds
         // at every observation, per-view hits+misses tally every lookup,
-        // and the store-level eviction count equals populating inserts
-        // minus surviving entries.
+        // and every surviving or evicted entry was added by a counted miss.
         let (b, q, s) = problem();
         let base = FactoryCache::with_capacity(4);
         let keys = 8usize;
@@ -1237,12 +1600,11 @@ mod tests {
             store.evictions > 0,
             "working set of 8 over cap 4 must churn"
         );
-        // Every counted miss inserted exactly one fresh key; every eviction
-        // removed exactly one. What survives is the difference.
-        assert_eq!(
-            store.entries as u64,
-            view_misses - store.evictions,
-            "inserts - evictions != surviving entries"
+        // Every entry was added by one counted miss and every eviction
+        // removed one; a miss that only widened an interval added none.
+        assert!(
+            store.entries as u64 + store.evictions <= view_misses,
+            "entries + evictions exceed populating searches"
         );
     }
 
@@ -1345,26 +1707,5 @@ mod tests {
         let fresh = FactoryCache::new();
         assert_eq!(fresh.load(&path).unwrap(), saved);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn family_staircase_keeps_only_useful_seed_points() {
-        let mut store = Store::default();
-        let fam = FactoryKey {
-            words: vec![1],
-            text: String::new(),
-        };
-        store.record_bound(fam.clone(), 1e-9, 100.0);
-        store.record_bound(fam.clone(), 1e-9, 200.0); // dominated: dropped
-        store.record_bound(fam.clone(), 1e-12, 50.0); // dominates the first
-        assert_eq!(store.family_bounds.get(&fam).unwrap().len(), 1);
-        assert_eq!(store.seed_volume(&fam, 1e-9), Some(50.0));
-        assert_eq!(store.seed_volume(&fam, 1e-12), Some(50.0));
-        assert_eq!(store.seed_volume(&fam, 1e-13), None, "no achievable seed");
-        let other = FactoryKey {
-            words: vec![2],
-            text: String::new(),
-        };
-        assert_eq!(store.seed_volume(&other, 1e-9), None, "families isolated");
     }
 }

@@ -5,6 +5,7 @@
 use crate::budget::{ErrorBudget, PartitionSearch};
 use crate::cache::FactoryCache;
 use crate::engine::{merge_indexed, Estimator};
+use crate::error::Error;
 use crate::estimate::{Constraints, PhysicalResourceEstimation};
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{QecScheme, QecSchemeKind};
@@ -292,8 +293,8 @@ proptest! {
     /// re-snapshotting is the identity on entries, bit patterns included —
     /// for arbitrary stores, not just ones a real search produced.
     #[test]
-    fn cache_snapshot_round_trip_is_identity(entries in arb_snapshot_entries()) {
-        let distinct = entries.len();
+    fn cache_snapshot_round_trip_is_identity(generated in arb_snapshot_entries()) {
+        let (entries, distinct) = generated;
         let doc = snapshot_doc(entries);
         let first = FactoryCache::new();
         prop_assert_eq!(first.load_snapshot(&doc).unwrap(), distinct);
@@ -421,6 +422,109 @@ proptest! {
                 a.is_ok(),
                 b.is_ok()
             ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The interval store answers exactly like the exhaustive reference
+    /// search at every query: the same design, or the same infeasibility
+    /// with the caller's own required error. Queries come from two scoped
+    /// views over one store of random capacity (including 0 and 1), for
+    /// random unit sets and random sequences of required errors: fresh
+    /// values across the feasible decades, repeats, a returned design's
+    /// exact output error, values just past either edge of an answered
+    /// interval, and values far below or tighter than a known failure.
+    /// Every seed is achievable, so no seeded search fails and needs its
+    /// unseeded re-run: each miss runs exactly one search. With no capacity
+    /// bound, a repeated required error, a returned design's own output
+    /// error and a value tighter than a known failure must be hits.
+    #[test]
+    fn interval_store_answers_equal_exhaustive(
+        units in arb_unit_set(),
+        profile in arb_profile(),
+        max_rounds in 1usize..4,
+        half_distance in 2u32..8,
+        capacity in prop_oneof![2 => Just(None), 1 => (0usize..4).prop_map(Some)],
+        queries in prop::collection::vec((0u32..7, 0i32..40, 1.0f64..10.0, 0usize..2), 1..24),
+    ) {
+        let (qubit, kind) = profile;
+        let scheme = QecScheme::resolve(kind, &qubit).unwrap();
+        let builder = TFactoryBuilder {
+            units,
+            max_rounds,
+            max_code_distance: 2 * half_distance + 1,
+        };
+        let base = match capacity {
+            Some(capacity) => FactoryCache::with_capacity(capacity),
+            None => FactoryCache::new(),
+        };
+        let views = [base.scoped(), base.scoped()];
+        let mut asked: Vec<f64> = Vec::new();
+        let mut designs: Vec<f64> = Vec::new();
+        let mut failed: Vec<f64> = Vec::new();
+        for (kind, exponent, mantissa, view) in queries {
+            let pick = |known: &[f64]| match known {
+                [] => None,
+                known => Some(known[exponent as usize % known.len()]),
+            };
+            let (required, must_hit) = match kind {
+                0 => (mantissa * 10f64.powi(-(exponent % 6) - 1), false),
+                1 => (mantissa * 10f64.powi(-(exponent % 16) - 1), false),
+                2 => pick(&asked).map_or((mantissa, false), |r| (r, true)),
+                3 => pick(&designs).map_or((mantissa * 1e-3, false), |r| (r, true)),
+                // Just looser than the last requirement, or just tighter
+                // than the last returned design: the edges where answers
+                // change.
+                4 => (asked.last().unwrap_or(&1e-3) * (1.0 + mantissa / 20.0), false),
+                5 => (designs.last().unwrap_or(&1e-3) * (1.0 - mantissa / 20.0), false),
+                _ => match pick(&failed) {
+                    Some(bound) => (bound / mantissa, true),
+                    None => (mantissa * 10f64.powi(-exponent - 16), false),
+                },
+            };
+            let view = &views[view];
+            let misses = view.stats().misses;
+            let answer = view.find_factory(&builder, &qubit, &scheme, required);
+            let reference = builder.find_factory_exhaustive(&qubit, &scheme, required);
+            match (&answer, &reference) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a, b, "store diverged from the reference at {:e}", required);
+                    designs.push(a.output_error_rate);
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(a.to_string(), b.to_string());
+                    prop_assert!(
+                        matches!(a, Error::NoTFactory { required: r } if r.to_bits() == required.to_bits()),
+                        "failure must carry the caller's required error: {:?}",
+                        a
+                    );
+                    failed.push(required);
+                }
+                (a, b) => prop_assert!(
+                    false,
+                    "feasibility diverged at {:e}: store ok={} reference ok={}",
+                    required,
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            }
+            if must_hit && capacity.is_none() {
+                prop_assert_eq!(view.stats().misses, misses, "{:e} should have hit", required);
+            }
+            asked.push(required);
+        }
+        for view in &views {
+            prop_assert_eq!(view.search_counters().searches, view.stats().misses);
+        }
+        let stats = [views[0].stats(), views[1].stats()];
+        let misses = stats[0].misses + stats[1].misses;
+        prop_assert_eq!(stats[0].hits + stats[1].hits + misses, asked.len() as u64);
+        prop_assert!(stats[0].entries as u64 + stats[0].evictions <= misses);
+        if let Some(capacity) = capacity {
+            prop_assert!(stats[0].entries <= capacity);
         }
     }
 }
@@ -707,9 +811,13 @@ fn arb_sweep_spec() -> impl Strategy<Value = SweepSpec> {
 }
 
 /// Random snapshot `entries` arrays: structurally valid entries (the codec's
-/// input contract) with arbitrary bit patterns, including non-finite floats
-/// — distinct keys guaranteed by an embedded ordinal.
-fn arb_snapshot_entries() -> impl Strategy<Value = Vec<Value>> {
+/// input contract) with arbitrary bit patterns, including non-finite floats,
+/// everywhere but the interval edges (a positive output error and an
+/// `answeredUpTo` at or above it) — spread over three family keys, so
+/// entries share families, plus the number of distinct entries a load must
+/// retain (one per family and design output error, one per family with a
+/// failure).
+fn arb_snapshot_entries() -> impl Strategy<Value = (Vec<Value>, usize)> {
     let round = (
         0u64..20,      // code distance (0 = physical round)
         1u64..1_000,   // copies
@@ -734,58 +842,64 @@ fn arb_snapshot_entries() -> impl Strategy<Value = Vec<Value>> {
         );
     let design = (
         prop::collection::vec(round, 0..3),
-        1u64..1_000_000, // physical qubits
-        any::<u64>(),    // duration bits
-        any::<u64>(),    // output error bits
-        1u64..100,       // output T states
+        1u64..1_000_000,                   // physical qubits
+        any::<u64>(),                      // duration bits
+        (1.0f64..10.0, 1i32..30, 0i32..5), // output error m·10⁻ᵉ, answered up to ×10ᵏ
+        1u64..100,                         // output T states
     )
-        .prop_map(|(rounds, qubits, duration_bits, error_bits, t_states)| {
-            ObjectBuilder::new()
+        .prop_map(|(rounds, qubits, duration_bits, (m, e, k), t_states)| {
+            let error = m * 10f64.powi(-e);
+            let entry = ObjectBuilder::new()
+                .field("answeredUpToBits", (error * 10f64.powi(k)).to_bits())
                 .field(
                     "design",
                     ObjectBuilder::new()
                         .field("physicalQubits", qubits)
                         .field("durationNsBits", duration_bits)
-                        .field("outputErrorRateBits", error_bits)
+                        .field("outputErrorRateBits", error.to_bits())
                         .field("outputTStates", t_states)
                         .field("inputErrorRateBits", 1e-4f64.to_bits())
                         .field("rounds", Value::Array(rounds))
                         .build(),
                 )
-                .build()
+                .build();
+            (Some(error.to_bits()), entry)
         });
     let failure = any::<u64>().prop_map(|bits| {
-        ObjectBuilder::new()
+        // Any non-NaN bound, infinities included.
+        let bits = if f64::from_bits(bits).is_nan() {
+            f64::INFINITY.to_bits()
+        } else {
+            bits
+        };
+        let entry = ObjectBuilder::new()
             .field(
                 "noTFactory",
                 ObjectBuilder::new().field("requiredBits", bits).build(),
             )
-            .build()
+            .build();
+        (None, entry)
     });
     let payload = prop_oneof![3 => design, 1 => failure];
-    prop::collection::vec((prop::collection::vec(any::<u64>(), 0..6), payload), 0..8).prop_map(
-        |entries| {
-            entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, (words, payload))| {
-                    let key = ObjectBuilder::new()
-                        .field(
-                            "words",
-                            Value::Array(words.into_iter().map(Value::from).collect()),
-                        )
-                        // The ordinal keeps every generated key distinct.
-                        .field("text", format!("entry-{i}"))
-                        .build();
-                    let mut entry = ObjectBuilder::new().field("key", key).build();
-                    if let (Value::Object(pairs), Value::Object(tail)) = (&mut entry, payload) {
-                        pairs.extend(tail);
-                    }
-                    entry
-                })
-                .collect()
-        },
-    )
+    prop::collection::vec((0u64..3, payload), 0..8).prop_map(|entries| {
+        let mut distinct = std::collections::HashSet::new();
+        let entries = entries
+            .into_iter()
+            .map(|(family, (lo, payload))| {
+                distinct.insert((family, lo));
+                let key = ObjectBuilder::new()
+                    .field("words", Value::Array(vec![Value::from(family)]))
+                    .field("text", format!("family-{family}"))
+                    .build();
+                let mut entry = ObjectBuilder::new().field("key", key).build();
+                if let (Value::Object(pairs), Value::Object(tail)) = (&mut entry, payload) {
+                    pairs.extend(tail);
+                }
+                entry
+            })
+            .collect();
+        (entries, distinct.len())
+    })
 }
 
 /// Wrap generated entries in a well-formed snapshot document.

@@ -4,8 +4,9 @@
 # assert the session's exit code, its record count, and that the malformed
 # line yielded an error record instead of a crash. Then exercise the
 # persistence and fan-in story: two `--cache-file` sessions (the second must
-# run entirely from the first's snapshot, and a corrupted snapshot must warn
-# and start cold, never crash), and `qre merge` over two sharded sessions'
+# run entirely from the first's snapshot; a corrupted snapshot, and a
+# version-1 snapshot from before the per-family store, must warn and start
+# cold, never crash), and `qre merge` over two sharded sessions'
 # outputs (the merge must byte-equal the unsharded session's item records
 # after re-sorting). Finally the network transport: launch `--listen
 # 127.0.0.1:0`, submit the same script over a raw TCP socket (bash
@@ -75,6 +76,25 @@ grep -q '"cacheMisses":6' "$workdir/session3.ndjson" \
   || { cp "$workdir/session3.ndjson" "$out"; fail "corrupt snapshot did not fall back to a cold start"; }
 grep -q 'ignoring cache snapshot' "$workdir/session3.err" \
   || { cp "$workdir/session3.err" "$out"; fail "corrupt snapshot was not reported"; }
+
+# Version-1 snapshot (the exact-key layout before per-family intervals): a
+# loud warning naming the version, the same records as the cold session 1,
+# and the exit save rewrites the file in the current version 2 layout.
+v1cache="$workdir/designs-v1.json"
+echo '{"format":"qre-factory-cache","version":1,"entries":[{"key":{"words":[4562254508917369340,4517329193108106637],"text":"15-to-1 RM\u001f"},"noTFactory":{"requiredBits":4517329193108106637}}]}' > "$v1cache"
+echo "$SWEEP_JOB" | "$QRE" serve --jobs 1 --cache-file "$v1cache" \
+  > "$workdir/session-v1.ndjson" 2> "$workdir/session-v1.err"
+grep -q 'ignoring cache snapshot.*version 1 ' "$workdir/session-v1.err" \
+  || { cp "$workdir/session-v1.err" "$out"; fail "version-1 snapshot was not reported by version"; }
+grep -q '"cacheMisses":6' "$workdir/session-v1.ndjson" \
+  || { cp "$workdir/session-v1.ndjson" "$out"; fail "version-1 snapshot did not fall back to a cold start"; }
+if ! diff <(grep -v '"stats":' "$workdir/session-v1.ndjson" | sort) \
+          <(grep -v '"stats":' "$workdir/session1.ndjson" | sort) > /dev/null; then
+  cp "$workdir/session-v1.ndjson" "$out"
+  fail "records after a version-1 snapshot diverge from the cold session"
+fi
+grep -q '"format":"qre-factory-cache","version":2,' "$v1cache" \
+  || { cp "$v1cache" "$out"; fail "exit save did not rewrite the version-1 snapshot as version 2"; }
 
 # --- Bounded design store: evictions must surface in stats ------------------
 

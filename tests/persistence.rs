@@ -226,15 +226,18 @@ fn concurrent_sessions_on_one_snapshot_path_are_last_writer_wins_not_torn() {
         cache_file: Some(path.clone()),
         ..ServeOptions::default()
     };
-    // Disjoint design sets: the budgets differ, and the budget-derived
-    // required fidelity is part of the design key, so session A's six
-    // designs share nothing with session B's.
+    // Disjoint design sets: the budgets are three decades apart, so in
+    // every family the looser session's design stops distilling above the
+    // tighter session's required error, and the tighter session's
+    // intervals end below the looser one's. Neither session's six designs
+    // answer any lookup of the other's. (At one decade apart, three of the
+    // looser session's designs would also answer the tighter sweep.)
     let session_line = |budget: &str| -> String {
         format!(
             "{{ \"id\": \"s\", \"sweep\": {{ \"algorithms\": [ {{ \"logicalCounts\": {{ \"numQubits\": 10, \"tCount\": 100 }} }} ], \"errorBudgets\": [ {budget} ] }} }}\n"
         )
     };
-    let budgets = ["1e-4", "1e-3"];
+    let budgets = ["1e-6", "1e-3"];
     let sessions: Vec<_> = budgets
         .iter()
         .map(|budget| {

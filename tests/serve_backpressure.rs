@@ -11,11 +11,12 @@
 //! stall caps the number of items estimated-but-undelivered at a small
 //! scheduling-dependent constant.
 //!
-//! The observable: every sweep item with a distinct error budget searches a
-//! distinct factory design (the design key includes the budget-derived
-//! required fidelity), so the shared store's entry count *is* a progress
-//! counter for estimation. Stall the writer after one record, watch the
-//! store: it must plateau far below the sweep size.
+//! The observable: every sweep item with distinct qubit parameters belongs
+//! to a distinct design family (the store's key includes every qubit
+//! parameter the search reads), so each item adds its own store entry and
+//! the shared store's entry count *is* a progress counter for estimation.
+//! Stall the writer after one record, watch the store: it must plateau far
+//! below the sweep size.
 //!
 //! This file holds the only backpressure test that sets `QRE_THREADS`, so
 //! no sibling test in the same process can race on the environment.
@@ -28,8 +29,9 @@ use std::time::{Duration, Instant};
 use qre_cli::{run_session, ServeOptions, ServeShared, SessionConfig};
 
 const THREADS: usize = 4;
-/// Sweep size: one algorithm × 120 distinct error budgets — 120 distinct
-/// designs, far above any legitimate run-ahead.
+/// Sweep size: one algorithm × 120 qubit models that differ only in their
+/// T gate time — 120 distinct design families, far above any legitimate
+/// run-ahead.
 const ITEMS: usize = 120;
 
 /// A consumer that accepts `open_flushes` records and then blocks (serve
@@ -95,13 +97,18 @@ impl StalledWriter {
     }
 }
 
-fn budget_sweep_line() -> String {
-    let budgets: Vec<String> = (0..ITEMS)
-        .map(|i| format!("{:e}", 1e-4 + i as f64 * 1e-6))
+fn family_sweep_line() -> String {
+    let profiles: Vec<String> = (0..ITEMS)
+        .map(|i| {
+            format!(
+                "{{ \"name\": \"qubit_gate_ns_e3\", \"tGateTimeNs\": {} }}",
+                50 + i
+            )
+        })
         .collect();
     format!(
-        "{{ \"id\": \"flood\", \"sweep\": {{ \"algorithms\": [ {{ \"logicalCounts\": {{ \"numQubits\": 10, \"tCount\": 100 }} }} ], \"qubitParams\": [ {{ \"name\": \"qubit_gate_ns_e3\" }} ], \"errorBudgets\": [ {} ] }} }}",
-        budgets.join(", ")
+        "{{ \"id\": \"flood\", \"sweep\": {{ \"algorithms\": [ {{ \"logicalCounts\": {{ \"numQubits\": 10, \"tCount\": 100 }} }} ], \"qubitParams\": [ {} ], \"errorBudgets\": [ 1e-4 ] }} }}",
+        profiles.join(", ")
     )
 }
 
@@ -125,7 +132,7 @@ fn stalled_consumer_bounds_estimation_run_ahead_and_loses_nothing() {
         let shared = Arc::clone(&shared);
         let mut writer = writer.clone();
         move || {
-            let input = format!("{}\n", budget_sweep_line());
+            let input = format!("{}\n", family_sweep_line());
             run_session(
                 &shared,
                 &SessionConfig::default(),
